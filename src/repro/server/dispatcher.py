@@ -147,10 +147,9 @@ class Dispatcher:
             if self.telemetry is not None:
                 shed = self.telemetry.engine.shed_backends()
                 if shed and choice in shed and len(shed) < len(self.servers):
-                    clean_loads = {
-                        i: v for i, v in loads.items() if i not in shed
-                    }
-                    choice = self.balancer.choose(clean_loads)
+                    # Exclude rather than drop the shed back-ends' reports:
+                    # a back-end without a report scores as idle.
+                    choice = self.balancer.choose(loads, exclude=shed)
                     if choice in shed:
                         clean = [i for i in range(len(self.servers))
                                  if i not in shed]

@@ -18,7 +18,7 @@ reconfiguration lag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.monitoring.loadinfo import LoadInfo
 
@@ -361,7 +361,10 @@ class PooledBalancer:
     def set_request(self, request) -> None:
         self._current_request = request
 
-    def choose(self, loads: Dict[int, LoadInfo]) -> int:
+    def choose(self, loads: Dict[int, LoadInfo],
+               exclude: Optional[Sequence[int]] = None) -> int:
+        """Pick within the request's pool; ``exclude`` is the dispatcher's
+        health re-pick, honoured while any other pool member remains."""
         request = self._current_request
         pool = self.service_of(request) if request is not None else None
         members = (
@@ -370,17 +373,19 @@ class PooledBalancer:
             else None
         )
         if not members:
-            return self.inner.choose(loads)
+            return self.inner.choose(loads, exclude)
+        excluded = set(exclude) if exclude else set()
+        allowed = [i for i in members if i not in excluded] or members
         restricted = {i: info for i, info in loads.items() if i in members}
         if not restricted:
             # No data for this pool yet: rotate within the pool.
             idx = self.inner.choose({})
-            return members[idx % len(members)]
-        choice = self.inner.choose(restricted)
-        if choice not in members:
+            return allowed[idx % len(allowed)]
+        choice = self.inner.choose(restricted, exclude)
+        if choice not in allowed:
             # Inner fell back outside the pool: clamp.
             choice = min(
-                members,
+                allowed,
                 key=lambda i: self.inner.score(loads[i]) if i in loads else 0.0,
             )
         return choice

@@ -144,3 +144,22 @@ def test_pooled_balancer_without_request_falls_back():
     pooled = PooledBalancer(inner, manager, service_of=lambda r: None)
     pooled.set_request(None)
     assert pooled.choose({}) in range(4)
+
+
+def test_pooled_balancer_repick_honours_exclusion():
+    """The dispatcher's health re-pick passes ``exclude``: an excluded
+    pool member is never chosen while another member remains, with
+    monitoring data or without it (the rotation path)."""
+    sim, scheme, manager = build()
+    inner = LeastLoadedBalancer(4)
+    pooled = PooledBalancer(inner, manager, service_of=lambda r: r and r["svc"])
+    pooled.set_request({"svc": "web"})
+    # Backend 0 looks idle, so an unfiltered pick would favour it.
+    loads = {
+        i: LoadInfo(backend=f"b{i}", collected_at=0, cpu_util=0.0 if i == 0 else 0.9)
+        for i in range(4)
+    }
+    assert {pooled.choose(loads, exclude=[0]) for _ in range(50)} == {1}
+    assert {pooled.choose({}, exclude=[0]) for _ in range(8)} == {1}
+    # Excluding the whole pool falls back to it: a wrong pick beats none.
+    assert pooled.choose(loads, exclude=[0, 1]) in (0, 1)

@@ -1,5 +1,7 @@
 """Alert-aware shedding: admission rejects, dispatcher routes around."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import SimConfig
@@ -77,3 +79,35 @@ def test_dispatcher_routes_around_alerted_backend():
     assert app.dispatcher.forwarded > marker  # traffic kept flowing
     assert app.dispatcher.rerouted_by_alert > 0
     assert gained_b1 > gained_b0  # the clean backend took the load
+
+
+def test_shedding_repick_follows_clean_headroom():
+    """Re-picks away from shed back-ends go by the clean back-ends'
+    headroom: the shed ones are excluded, not dropped from the view
+    (a back-end without a report would score as idle and draw most
+    re-picks, each then falling back to rotation)."""
+    rules = [ThresholdRule("overload", metric="synthetic", fire_above=1.0,
+                           severity=Severity.CRITICAL, sheds=True)]
+    app = deploy_rubis_cluster(
+        SimConfig(num_backends=4), scheme_name="rdma-sync",
+        poll_interval=50 * MILLISECOND, alert_shedding=True,
+        telemetry_rules=rules,
+    )
+    # A frozen view: shed 0 and 1 look idle, clean 2 is busy, clean 3 idle.
+    busy = LoadInfo(backend="b2", collected_at=0, cpu_util=1.0, runq_load=16.0,
+                    gauges={"connections": 32})
+    loads = {i: LoadInfo(backend=f"b{i}", collected_at=0) for i in (0, 1, 3)}
+    loads[2] = busy
+    app.dispatcher.monitor = SimpleNamespace(latest=loads)
+    for backend in (0, 1):
+        app.telemetry.engine.observe(backend, 0, {"synthetic": 2.0})
+    workload = RubisWorkload(app.sim, app.dispatcher, num_clients=16,
+                             think_time=2 * MILLISECOND)
+    workload.start()
+    app.run(int(0.5 * SECOND))
+    counts = app.dispatcher.stats.per_backend_counts()
+    assert app.dispatcher.rerouted_by_alert > 100
+    assert not counts.get(0) and not counts.get(1)
+    # Headroom 1.0 vs 0.15: about 87% of picks land on 3. Re-picking
+    # over a view without the shed back-ends gives 3 about 72%.
+    assert counts[3] > 4 * counts[2], counts

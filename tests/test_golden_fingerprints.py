@@ -11,6 +11,11 @@ span boundaries and workload drop counts — any reordering of the event
 queue, any perturbation of an RNG stream, or any change to simulated
 costs shifts at least one component.
 
+``GOLDEN_FEDERATION_3LEVEL`` was added later, captured on the linear-scan
+balancer before its score cache replaced it. It pins the benchmark's
+dispatch path: three-level federation and e-RDMA-Sync's irq-pressure
+scoring, with per-shard pick counts.
+
 The overhauled core must reproduce every value bit-for-bit. If a test
 here fails, the change under review broke same-seed reproducibility —
 do NOT re-capture the goldens to make it pass unless the change is an
@@ -34,6 +39,7 @@ import re
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
 from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms, seconds
@@ -92,6 +98,23 @@ def fp_federation(seed=9):
             tuple(sorted(app.dispatcher.stats.per_backend_counts().items())))
 
 
+def fp_federation_3level(seed=13):
+    """The benchmark's dispatch path at small N: three-level federation,
+    e-RDMA-Sync at 1 ms (irq pressure scored) and RUBiS, with enough
+    load that dropping the irq term moves the picks."""
+    cfg = SimConfig(num_backends=64, master_seed=seed)
+    app = (ClusterBuilder(cfg)
+           .scheme("e-rdma-sync", interval=ms(1))
+           .with_federation(levels=3, leaf_interval=ms(1), root_interval=ms(1))
+           .workload("rubis", num_clients=128, think_time=ms(1))
+           .build())
+    app.run(ms(100))
+    s = app.dispatcher.stats
+    return (s.count(), app.sim.env.processed_events,
+            tuple(sorted(s.per_backend_counts().items())),
+            tuple(app.balancer.shard_picks))
+
+
 GOLDEN_SOCKET_SYNC = (1521, '2765277.1499013808', 26937012, ((0, 748), (1, 773)), 55365, (410128, 423628, 410128, 423628, 410128, 884311, 410128, 423628, 410128, 423628, 410128, 423628, 423628, 437128, 410128, 423628, 419969, 849142, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 782347, 786365, 410128, 423628, 410128, 429128, 410128, 1431400, 423628, 437128, 410128, 437128, 410128, 423628, 410128, 423628, 410128, 423628))
 
 GOLDEN_RDMA_SYNC = (1428, '3080267.3928571427', 30860358, ((0, 714), (1, 714)), 51442, (20007, 25007) * 25)
@@ -99,6 +122,8 @@ GOLDEN_RDMA_SYNC = (1428, '3080267.3928571427', 30860358, ((0, 714), (1, 714)), 
 GOLDEN_OPENLOOP = (839, 104, 734, '2241292.220708447', ((0, 397), (1, 337)), 33268)
 
 GOLDEN_TRACED = (175, 8793, 342, 45, 170, (('lb.pick', 36629343, 36629343), ('dispatch', 36623193, 36642493), ('queue', 36629343, 36660157), ('web', 36666157, 38071132), ('db', 38071132, 40883583), ('respond', 40883583, 40897783), ('service', 36660157, 40897783), ('request', 36589379, 40941127), ('lb.pick', 70050012, 70050012), ('dispatch', 70043862, 70063162), ('queue', 70050012, 70080826), ('web', 70086826, 70658591), ('db', 70658591, 71135062), ('respond', 71135062, 71149262), ('service', 70080826, 71149262), ('request', 70010048, 71192606), ('lb.pick', 80690650, 80690650), ('dispatch', 80684500, 80703800), ('queue', 80690650, 80721464), ('web', 80727464, 81442074), ('db', 81442074, 82871295), ('respond', 82871295, 82885495), ('service', 80721464, 82885495), ('request', 80650686, 82928839), ('lb.pick', 89560416, 89560416), ('dispatch', 89554266, 89573566), ('queue', 89560416, 89591230), ('web', 89597230, 90179538), ('db', 90179538, 90662712), ('respond', 90662712, 90676912), ('service', 89591230, 90676912), ('request', 89520452, 90720256), ('rdma.read.post', 100040426, 100042926), ('rdma.read.at_target', 100042926, 100043686), ('rdma.read.post', 100041126, 100045426), ('rdma.read.at_target', 100045426, 100046186), ('rdma.read.dma', 100043686, 100046701), ('rdma.read.completion', 100046701, 100048089), ('rdma.read', 100040426, 100048089), ('rdma.read.dma', 100046186, 100049201)))
+
+GOLDEN_FEDERATION_3LEVEL = (2632, 205446, ((0, 42), (1, 33), (2, 42), (3, 47), (4, 43), (5, 45), (6, 40), (7, 36), (8, 50), (9, 32), (10, 44), (11, 45), (12, 40), (13, 36), (14, 39), (15, 42), (16, 50), (17, 33), (18, 36), (19, 46), (20, 44), (21, 33), (22, 40), (23, 41), (24, 47), (25, 50), (26, 49), (27, 41), (28, 48), (29, 51), (30, 42), (31, 42), (32, 36), (33, 42), (34, 37), (35, 42), (36, 37), (37, 35), (38, 41), (39, 41), (40, 41), (41, 39), (42, 46), (43, 28), (44, 44), (45, 42), (46, 38), (47, 51), (48, 39), (49, 32), (50, 38), (51, 43), (52, 38), (53, 37), (54, 35), (55, 39), (56, 36), (57, 43), (58, 38), (59, 46), (60, 50), (61, 40), (62, 49), (63, 40)), (160, 167, 175, 160, 165, 157, 186, 185, 157, 158, 152, 179, 153, 149, 164, 178))
 
 GOLDEN_FEDERATION = (427, 26996, ((0, 34), (1, 32), (2, 26), (3, 24), (4, 28), (5, 28), (6, 27), (7, 21), (8, 24), (9, 29), (10, 23), (11, 33), (12, 28), (13, 17), (14, 25), (15, 28)))
 
@@ -135,3 +160,7 @@ def test_golden_traced_telemetry(regen_goldens):
 
 def test_golden_federation(regen_goldens):
     _check("GOLDEN_FEDERATION", fp_federation(), regen_goldens)
+
+
+def test_golden_federation_3level(regen_goldens):
+    _check("GOLDEN_FEDERATION_3LEVEL", fp_federation_3level(), regen_goldens)
