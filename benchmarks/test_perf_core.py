@@ -8,9 +8,11 @@ on a federated N=512 cluster and a cluster-size sweep
 
 Headline acceptance: the overhauled core clears **>= 2x** the legacy
 engine's events/sec on the microbench. The hard assertion below uses a
-1.5x guard band so a noisy shared CI machine can't flake the suite; the
-measured ratio (locally ~2.9x) and the 2x target are both archived in
-``results/BENCH_core.json`` for the record.
+1.5x guard band for noisy shared CI machines; the archived ratio in
+``results/BENCH_core.json`` is 1.92x, the median of five runs on a
+2-vCPU x86-64 guest under CPython 3.11. Eight runs there spanned
+1.27x-2.90x: legacy and current are timed one after the other, so a
+host that changes speed between them moves the ratio.
 
 The second acceptance point is scale: a three-level federated N=4096
 cluster must hold every tier's worst poll round — leaf, region, root —
@@ -34,11 +36,7 @@ SPEEDUP_GUARD = 1.5
 def test_perf_core(benchmark, record, results_dir):
     def probe():
         legacy = perf_core.event_loop_microbench(engine_module=_legacy_core)
-        # Both current cores: the chained-timeout shape (one pending
-        # timer) is the heap's best case and the wheel's worst — the
-        # wheel earns its keep on the timer-dense cluster points below.
-        current = {c: perf_core.event_loop_microbench(core=c)
-                   for c in ("wheel", "heap")}
+        current = perf_core.event_loop_microbench()
         sweep = perf_core.scalability_wallclock()
         # The headline acceptance point gets the best-of treatment the
         # microbench already has; the sweep stays single-shot (it only
@@ -48,10 +46,7 @@ def test_perf_core(benchmark, record, results_dir):
         return legacy, current, sweep, n512, tiers
 
     legacy, current, sweep, n512, tiers = run_once(benchmark, probe)
-    speedups = {c: current[c]["events_per_sec"] / legacy["events_per_sec"]
-                for c in current}
-    best_core = max(speedups, key=speedups.get)
-    speedup = speedups[best_core]
+    speedup = current["events_per_sec"] / legacy["events_per_sec"]
 
     sizes = [int(p["backends"]) for p in sweep]
     series = {
@@ -65,10 +60,8 @@ def test_perf_core(benchmark, record, results_dir):
         f"\n\nevent-loop microbench ({int(legacy['n_events'])} chained "
         f"timeouts, best of 3):\n"
         f"  legacy core : {legacy['events_per_sec'] / 1e3:8.0f}k events/s\n"
-        f"  wheel core  : {current['wheel']['events_per_sec'] / 1e3:8.0f}k events/s\n"
-        f"  heap core   : {current['heap']['events_per_sec'] / 1e3:8.0f}k events/s\n"
-        f"  speedup     : {speedup:.2f}x ({best_core}; "
-        f"target >= {SPEEDUP_TARGET}x)"
+        f"  current core: {current['events_per_sec'] / 1e3:8.0f}k events/s\n"
+        f"  speedup     : {speedup:.2f}x (target >= {SPEEDUP_TARGET}x)"
     ) + (
         f"\n\nheadline N=512 federated point (50 ms simulated, best of 3):\n"
         f"  {n512['events_per_sec'] / 1e3:.1f}k events/s "
@@ -86,11 +79,8 @@ def test_perf_core(benchmark, record, results_dir):
     write_bench(results_dir, "perf_core", {
         "microbench": {
             "legacy": legacy,
-            "current": current[best_core],
-            "current_per_core": current,
-            "best_core": best_core,
+            "current": current,
             "speedup": round(speedup, 3),
-            "speedup_per_core": {c: round(s, 3) for c, s in speedups.items()},
             "speedup_target": SPEEDUP_TARGET,
             "speedup_guard": SPEEDUP_GUARD,
         },
@@ -99,11 +89,10 @@ def test_perf_core(benchmark, record, results_dir):
         "scalability_sweep": sweep,
     }, name="core")
 
-    # Every core must have simulated the identical schedule — same event
+    # Both cores must have simulated the identical schedule — same event
     # count for the same workload — or the throughput ratio is bogus.
-    for c in current:
-        assert legacy["processed_events"] == current[c]["processed_events"]
-    assert speedup >= SPEEDUP_GUARD, (speedups, legacy, current)
+    assert legacy["processed_events"] == current["processed_events"]
+    assert speedup >= SPEEDUP_GUARD, (speedup, legacy, current)
 
     # The overhaul must not have bent the scaling shape: wall cost may
     # grow with N (more nodes, more monitoring traffic) but stays

@@ -163,25 +163,6 @@ class ClusterBuilder:
         self._heartbeat_hung_after = hung_after
         return self
 
-    def engine(self, core: str = "wheel", **knobs) -> "ClusterBuilder":
-        """Select the discrete-event scheduler core.
-
-        ``core`` is ``"wheel"`` (the bucketed timing wheel, the default
-        everywhere) or ``"heap"`` (the pre-wheel global binary heap kept
-        as the reference core); extra keywords are ``cfg.engine`` knobs
-        (``wheel_bucket_bits=...``, ``wheel_ring_bits=...``) and a
-        mistyped name raises immediately with a did-you-mean hint,
-        courtesy of the audited config schema. Both cores dispatch in
-        the identical ``(time, priority, seq)`` order — enforced by the
-        differential conformance suite — so this switch never changes a
-        simulation result, only its wall-clock.
-        """
-        eng = self._cfg.engine
-        eng.core = core
-        for name, value in knobs.items():
-            setattr(eng, name, value)
-        return self
-
     def congestion(self, **knobs) -> "ClusterBuilder":
         """Enable the congestion-realistic fabric (ECN/DCQCN/PFC).
 

@@ -64,29 +64,6 @@ def audited(cls):
 
 @audited
 @dataclass
-class EngineConfig:
-    """Discrete-event scheduler core (see :mod:`repro.sim.wheel`).
-
-    The default bucketed timing wheel gives O(1) insert/cancel for every
-    event inside its horizon (``2**(wheel_bucket_bits + wheel_ring_bits)``
-    ns ≈ 33.6 ms at the defaults) with an overflow heap beyond it; the
-    pre-wheel global binary heap remains selectable as the reference
-    core. Both dispatch in the identical ``(time, priority, seq)`` order
-    — enforced by ``tests/sim/test_core_differential.py`` — so this
-    choice never changes simulation results, only wall-clock.
-    """
-
-    #: scheduler core: "wheel" (bucketed timing wheel, default) or
-    #: "heap" (the single global binary heap of PR 6)
-    core: str = "wheel"
-    #: log2 of the wheel bucket width in ns (12 -> 4.096 us buckets)
-    wheel_bucket_bits: int = 12
-    #: log2 of the wheel ring length in buckets (13 -> 8192 buckets)
-    wheel_ring_bits: int = 13
-
-
-@audited
-@dataclass
 class CpuConfig:
     """Per-node CPU and scheduler parameters (Linux-2.4 flavoured)."""
 
@@ -576,7 +553,6 @@ class SimConfig:
     client_cpus: int = 8
     master_seed: int = field(default_factory=lambda: _DEFAULT_MASTER_SEED)
     trace: bool = False
-    engine: EngineConfig = field(default_factory=EngineConfig)
     cpu: CpuConfig = field(default_factory=CpuConfig)
     irq: IrqConfig = field(default_factory=IrqConfig)
     syscall: SyscallConfig = field(default_factory=SyscallConfig)
@@ -600,14 +576,6 @@ class SimConfig:
         """Sanity-check cross-field constraints; raise ValueError on nonsense."""
         if self.num_backends < 1:
             raise ValueError("need at least one back-end node")
-        eng = self.engine
-        if eng.core not in ("wheel", "heap"):
-            raise ValueError(f"unknown engine core {eng.core!r} "
-                             "(choose 'wheel' or 'heap')")
-        if not 4 <= eng.wheel_bucket_bits <= 24:
-            raise ValueError("engine wheel_bucket_bits must be in [4, 24]")
-        if not 4 <= eng.wheel_ring_bits <= 20:
-            raise ValueError("engine wheel_ring_bits must be in [4, 20]")
         if self.cpu.num_cpus < 1:
             raise ValueError("nodes need at least one CPU")
         if self.cpu.tick <= 0:
@@ -732,7 +700,6 @@ __all__ = [
     "CongestionConfig",
     "CpuConfig",
     "DEFAULT_POLL_INTERVAL",
-    "EngineConfig",
     "FederationConfig",
     "IrqConfig",
     "MonitorConfig",

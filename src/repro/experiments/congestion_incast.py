@@ -112,7 +112,7 @@ def run_incast(
             staleness.append(info.staleness)
 
     def sample_age(_ev=None) -> None:
-        # Pure observation on the event wheel — no task, no CPU time,
+        # Pure observation on the event queue — no task, no CPU time,
         # so the measurement cannot perturb any arm.
         latest = fed.root.latest
         if latest:

@@ -43,24 +43,18 @@ def event_loop_microbench(
     n_events: int = DEFAULT_EVENTS,
     repeats: int = 3,
     engine_module=None,
-    core: Optional[str] = None,
 ) -> Dict[str, float]:
     """Events/sec for a chained-timeout loop; best of ``repeats`` runs.
 
     ``engine_module`` must expose an ``Environment`` with ``timeout``,
     ``process`` and ``run_until_quiet`` — the current core by default,
     or ``benchmarks._legacy_core`` for the frozen pre-overhaul baseline.
-    ``core`` selects the current engine's scheduler core ("wheel",
-    "heap"); ignored when ``engine_module`` is given.
     """
     mod = engine_module if engine_module is not None else _engine
     best = float("inf")
     processed = 0
     for _ in range(repeats):
-        if engine_module is None and core is not None:
-            env = mod.Environment(core=core)
-        else:
-            env = mod.Environment()
+        env = mod.Environment()
 
         def body():
             for _ in range(n_events):

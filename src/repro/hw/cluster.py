@@ -89,11 +89,7 @@ def build_cluster(cfg: SimConfig | None = None) -> ClusterSim:
     """Build and boot the simulated cluster described by ``cfg``."""
     cfg = cfg if cfg is not None else SimConfig()
     cfg.validate()
-    env = Environment(
-        core=cfg.engine.core,
-        wheel_bucket_bits=cfg.engine.wheel_bucket_bits,
-        wheel_ring_bits=cfg.engine.wheel_ring_bits,
-    )
+    env = Environment()
     rng = RngRegistry(cfg.master_seed)
     tracer = Tracer(enabled=cfg.trace)
     spans = SpanTracer(

@@ -1,8 +1,8 @@
 """The discrete-event engine.
 
-:class:`Environment` owns the clock and the scheduler core and drives
-the simulation. It is deliberately minimal: all domain behaviour (CPUs,
-NICs, kernels) is built as processes and events on top of it.
+:class:`Environment` owns the clock and the pending-event heap and
+drives the simulation. It is deliberately minimal: all domain behaviour
+(CPUs, NICs, kernels) is built as processes and events on top of it.
 
 Performance notes
 -----------------
@@ -10,23 +10,21 @@ This module is the hottest code in the repository — every simulated
 nanosecond flows through it — so it trades a little uniformity for
 speed in three deliberate ways:
 
-* The scheduler holds **mutable list entries** ``[time, priority, seq,
+* The heap holds **mutable list entries** ``[time, priority, seq,
   event]`` (the :mod:`repro.sim.pqueue` convention) instead of tuples.
   Each scheduled event carries its entry in ``event._entry``, which
   makes :meth:`Environment.cancel` a single O(1) slot write — no
   tombstone scans, no re-heapify. Dead entries are discarded when they
-  surface, each exactly once.
-* The pending-event store is a pluggable **scheduler core**
-  (:mod:`repro.sim.wheel`): the default bucketed timing wheel gives
-  O(1) insert for everything inside its ~33 ms horizon, with the
-  pre-wheel global binary heap selectable as the reference core. Both
-  dispatch in the identical ``(time, priority, seq)`` order — held to
-  account by the differential suite — so the choice of core never
-  changes a simulation result, only its wall-clock.
+  surface at the head, each exactly once.
+* The pending events live in **one plain ``heapq`` list** owned by the
+  environment. Inserts go through a bound
+  ``functools.partial(heappush, queue)`` (``env._push``), one C call
+  with no Python frame; there is no queue object between the engine
+  and the heap.
 * :meth:`run` inlines the pop/dispatch loop per ``until`` mode rather
-  than calling :meth:`step`, binding the core's pop to a local and
-  reading event state through slots directly. ``step`` and ``peek``
-  remain for incremental driving and tests.
+  than calling :meth:`step`, binding the heap and ``heappop`` to locals
+  and reading event state through slots directly. ``step`` and
+  ``peek`` remain for incremental driving and tests.
 
 Sequence numbers stay globally monotonic and unique, so entry
 comparison never reaches the event slot and dispatch order is a pure
@@ -36,11 +34,15 @@ historical tuple heap for any same-seed run.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Union
+from functools import partial
+from heapq import heappop, heappush
+from typing import Any, Generator, List, Optional
 
 from repro.sim.events import AllOf, AnyOf, Event, EventPriority, Hook, Timeout
 from repro.sim.process import Process
-from repro.sim.wheel import CORES, NEVER, TimingWheel
+
+#: what :meth:`Environment.peek` returns when nothing is scheduled
+PEEK_NEVER = 2**63 - 1
 
 
 class SimulationError(Exception):
@@ -60,21 +62,12 @@ class EmptySchedule(Exception):
 
 
 class Environment:
-    """A simulation environment: clock, scheduler core, process factory.
+    """A simulation environment: clock, event heap, process factory.
 
     Parameters
     ----------
     initial_time:
         Starting value of the nanosecond clock.
-    core:
-        The scheduler core: ``"wheel"`` (default) or ``"heap"`` by
-        name, or a pre-built core object implementing the
-        :mod:`repro.sim.wheel` protocol (``push`` / ``pop_live`` /
-        ``pop_live_until`` / ``peek_time``).
-    wheel_bucket_bits / wheel_ring_bits:
-        Wheel geometry, forwarded to :class:`~repro.sim.wheel.TimingWheel`
-        when ``core="wheel"`` (ignored otherwise). See
-        ``docs/PERF.md`` for sizing guidance.
 
     Notes
     -----
@@ -83,33 +76,18 @@ class Environment:
     so simultaneous same-priority events fire in the exact order they
     were scheduled — the keystone of reproducibility. Cancelled entries
     have their event slot set to ``None`` and are dropped when they
-    surface inside the core.
+    reach the head of the heap.
     """
 
-    __slots__ = ("_now", "_core", "_push", "_seq", "_active_process",
+    __slots__ = ("_now", "_queue", "_push", "_seq", "_active_process",
                  "_hook_pool", "processed_events", "cancelled_events")
 
-    def __init__(self, initial_time: int = 0,
-                 core: Union[str, object] = "wheel", *,
-                 wheel_bucket_bits: int = 12,
-                 wheel_ring_bits: int = 13) -> None:
+    def __init__(self, initial_time: int = 0) -> None:
         self._now: int = int(initial_time)
-        if isinstance(core, str):
-            try:
-                factory = CORES[core]
-            except KeyError:
-                raise SimulationError(
-                    f"unknown scheduler core {core!r} "
-                    f"(choose from {sorted(CORES)})"
-                ) from None
-            if factory is TimingWheel:
-                core = TimingWheel(self._now, bucket_bits=wheel_bucket_bits,
-                                   ring_bits=wheel_ring_bits)
-            else:
-                core = factory(self._now)
-        self._core = core
+        #: pending entries, ordered by heapq
+        self._queue: List[list] = []
         #: bound fast-path insert, used by Timeout.__init__ directly
-        self._push = core.push
+        self._push = partial(heappush, self._queue)
         self._seq: int = 0
         #: recycled Hook carriers for call_later (see repro.sim.events)
         self._hook_pool: List[Hook] = []
@@ -130,11 +108,6 @@ class Environment:
         """The process currently executing, if any."""
         return self._active_process
 
-    @property
-    def core_kind(self) -> str:
-        """Name of the scheduler core in use (``"wheel"``, ``"heap"``)."""
-        return getattr(self._core, "kind", type(self._core).__name__)
-
     # -- factories -----------------------------------------------------------
     def event(self, name: str = "") -> Event:
         """Create a new untriggered event."""
@@ -142,7 +115,9 @@ class Environment:
 
     def timeout(self, delay: int, value: Any = None, priority: int = EventPriority.NORMAL) -> Timeout:
         """Create an event that fires ``delay`` nanoseconds from now."""
-        return Timeout(self, delay, value=value, priority=priority)
+        # Positional on purpose: keywords make the type call build a
+        # kwargs dict, about 30% of a Timeout's construction cost.
+        return Timeout(self, delay, value, priority)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
@@ -155,12 +130,10 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _enqueue(self, event: Event, priority: int, delay: int = 0) -> None:
-        """Schedule a triggered event for processing ``delay`` ns from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+    def _enqueue(self, event: Event, priority: int) -> None:
+        """Schedule a triggered event for processing at the current time."""
         self._seq = seq = self._seq + 1
-        event._entry = entry = [self._now + delay, priority, seq, event]
+        event._entry = entry = [self._now, priority, seq, event]
         self._push(entry)
 
     def call_later(self, delay: int, fn, priority: int = EventPriority.NORMAL) -> None:
@@ -174,7 +147,13 @@ class Environment:
         use :meth:`timeout` when a handle is needed. Ordering is the
         ordinary ``(time, priority, seq)`` contract, identical to an
         equivalently-scheduled timeout.
+
+        ``delay`` must be an ``int``: unlike :meth:`timeout` this path
+        does not coerce, and a float would turn the clock into a float.
         """
+        if not isinstance(delay, int):
+            raise TypeError(
+                f"call_later delay must be an int number of ns, got {delay!r}")
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         pool = self._hook_pool
@@ -190,7 +169,7 @@ class Environment:
         Returns True if the event was pending dispatch (its callbacks
         will now never run and it will never count as processed), False
         if it was not scheduled — never triggered, already processed, or
-        already cancelled. Does not touch the core: the dead entry is
+        already cancelled. Does not touch the heap: the dead entry is
         discarded when it surfaces.
         """
         entry = event._entry
@@ -202,15 +181,25 @@ class Environment:
         return True
 
     def peek(self) -> int:
-        """Time of the next scheduled event, or a sentinel max if none."""
-        return self._core.peek_time()
+        """Time of the next scheduled event, or :data:`PEEK_NEVER` if none."""
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if head[3] is not None:
+                return head[0]
+            heappop(queue)
+        return PEEK_NEVER
 
     def step(self) -> None:
         """Process the next event. Raises :class:`EmptySchedule` if none."""
-        entry = self._core.pop_live()
-        if entry is None:
+        queue = self._queue
+        while queue:
+            entry = heappop(queue)
+            event = entry[3]
+            if event is not None:
+                break
+        else:
             raise EmptySchedule()
-        event = entry[3]
         event._entry = None
         self._now = entry[0]
         self.processed_events += 1
@@ -245,14 +234,15 @@ class Environment:
 
     def _run_drain(self) -> Any:
         """run(None): drain the queue completely."""
-        pop = self._core.pop_live
+        queue = self._queue
+        pop = heappop
         processed = self.processed_events
         try:
-            while True:
-                entry = pop()
-                if entry is None:
-                    return None
+            while queue:
+                entry = pop(queue)
                 event = entry[3]
+                if event is None:
+                    continue
                 event._entry = None
                 self._now = entry[0]
                 processed += 1
@@ -260,21 +250,25 @@ class Environment:
                 event._process()
                 if not event._ok and not event._defused:
                     raise event._value
+            return None
         except StopSimulation as stop:
             return stop.value
 
     def _run_until_event(self, stop_event: Event) -> Any:
         """run(event): dispatch until ``stop_event`` is processed."""
-        pop = self._core.pop_live
+        queue = self._queue
+        pop = heappop
         try:
             while not stop_event._processed:
-                entry = pop()
-                if entry is None:
+                if not queue:
                     raise SimulationError(
                         f"run() until-event {stop_event!r} can never fire: "
                         "event queue is empty"
                     )
+                entry = pop(queue)
                 event = entry[3]
+                if event is None:
+                    continue
                 event._entry = None
                 self._now = entry[0]
                 self.processed_events += 1
@@ -289,14 +283,19 @@ class Environment:
 
     def _run_until_time(self, horizon: int) -> Any:
         """run(int): dispatch everything at or before ``horizon``."""
-        pop_until = self._core.pop_live_until
+        queue = self._queue
+        pop = heappop
         processed = self.processed_events
         try:
-            while True:
-                entry = pop_until(horizon)
-                if entry is None:
-                    break
+            while queue:
+                entry = queue[0]
                 event = entry[3]
+                if event is None:
+                    pop(queue)
+                    continue
+                if entry[0] > horizon:
+                    break
+                pop(queue)
                 event._entry = None
                 self._now = entry[0]
                 processed += 1
@@ -311,15 +310,22 @@ class Environment:
 
     def run_until_quiet(self, max_time: int) -> None:
         """Run until nothing is scheduled before ``max_time``; clamp clock."""
-        pop_until = self._core.pop_live_until
-        while True:
-            entry = pop_until(max_time)
-            if entry is None:
-                break
+        queue = self._queue
+        pop = heappop
+        processed = self.processed_events
+        while queue:
+            entry = queue[0]
             event = entry[3]
+            if event is None:
+                pop(queue)
+                continue
+            if entry[0] > max_time:
+                break
+            pop(queue)
             event._entry = None
             self._now = entry[0]
-            self.processed_events += 1
+            processed += 1
+            self.processed_events = processed
             event._process()
             if not event._ok and not event._defused:
                 raise event._value
@@ -327,9 +333,4 @@ class Environment:
             self._now = max_time
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Environment t={self._now} core={self.core_kind} "
-                f"queued={len(self._core)}>")
-
-
-#: re-exported for callers that pattern-match on the peek sentinel
-PEEK_NEVER = NEVER
+        return f"<Environment t={self._now} queued={len(self._queue)}>"

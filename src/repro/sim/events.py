@@ -165,10 +165,11 @@ class Timeout(Event):
     latency is one), so ``__init__`` is hand-flattened: fields are set
     inline instead of chaining ``Event.__init__``, the name stays empty
     (``__repr__`` reconstructs the label from ``delay``), and the queue
-    entry is built inline and handed straight to the scheduler core's
-    bound ``env._push`` rather than going through
-    ``Environment._enqueue``. The entry layout and sequence numbering
-    are identical, so scheduling order is unchanged.
+    entry is built inline and pushed onto the environment's heap in one
+    call through ``env._push`` (a bound ``partial(heappush, queue)``)
+    rather than going through ``Environment._enqueue``. The entry
+    layout and sequence numbering are identical, so scheduling order
+    is unchanged.
     """
 
     __slots__ = ("delay",)

@@ -1,29 +1,28 @@
-"""Differential conformance: legacy heap vs heap core vs timing wheel.
+"""Differential conformance: the frozen legacy core vs the current engine.
 
-The lockdown harness for the scheduler-core swap. Three layers:
-
-1. **Queue protocol** — randomized push/cancel/pop/peek scripts driven
-   directly against :class:`~repro.sim.wheel.BinaryHeapQueue` and
-   :class:`~repro.sim.wheel.TimingWheel` (several geometries, including
-   tiny rings that force constant overflow churn). Pop order must be
-   byte-identical.
-2. **Environment replay** — randomized schedule/cancel/reschedule
-   workloads (pre-generated as pure data, so every engine executes the
-   exact same operation sequence) replayed through the frozen
-   pre-overhaul core in ``benchmarks/_legacy_core.py``, the current
-   heap core and the wheel core. Firing logs must match.
-3. **Cluster fingerprints** — same-seed full-stack runs per core must
-   produce identical monitoring views and event counts.
+The lockdown harness for any change to the scheduler. Randomized
+schedule/cancel/reschedule workloads are pre-generated as pure data,
+so every engine executes the exact same operation sequence, and are
+replayed through the frozen pre-overhaul core in
+``benchmarks/_legacy_core.py`` and through the current
+:class:`~repro.sim.engine.Environment`. The current engine replays each
+workload twice: in one ``run_until_quiet`` call, and sliced by a list of
+``run(until=t)`` horizons that land on firing times, next to them and
+between them. Firing logs must match, and each slice must stop with
+exactly the firings at or before its horizon done — the bounded pop
+(look at the head, drop tombstones, stop past the horizon) is checked
+on every slice.
 
 Whitelisted divergence (the only one): the legacy core has **no
 cancel** — ``Environment.cancel`` post-dates it — so in scripts that
 cancel, the cancelled firings still happen on legacy. The comparison
 therefore removes, from the legacy log, exactly the labels the current
-cores *successfully* cancelled (reschedule copies carry distinct
+engine *successfully* cancelled (reschedule copies carry distinct
 labels, so nothing else is masked). Everything outside that set must
 match event-for-event.
 """
 
+import bisect
 import importlib.util
 import pathlib
 import random
@@ -32,7 +31,6 @@ import pytest
 
 from repro.sim.engine import Environment
 from repro.sim.events import EventPriority
-from repro.sim.wheel import NEVER, BinaryHeapQueue, TimingWheel
 
 _LEGACY_PATH = (pathlib.Path(__file__).resolve().parents[2]
                 / "benchmarks" / "_legacy_core.py")
@@ -48,126 +46,9 @@ def _load_legacy():
 legacy = _load_legacy()
 
 
-# ======================================================================
-# Layer 1: queue-protocol differential (heap core vs wheel geometries)
-# ======================================================================
-
-WHEEL_GEOMETRIES = [
-    {},                                     # production default
-    {"bucket_bits": 4, "ring_bits": 4},     # 16 ns buckets, 16-slot ring:
-                                            # overflow + rotation churn
-    {"bucket_bits": 8, "ring_bits": 5},
-    {"bucket_bits": 16, "ring_bits": 13},   # huge buckets: in-bucket heap
-]
-
-
-def _run_script(core, script):
-    """Replay one pre-generated op script; return the pop log."""
-    live = {}
-    log = []
-    now = 0
-    for op in script:
-        kind = op[0]
-        if kind == "push":
-            _, seq, dt, prio = op
-            entry = [now + dt, prio, seq, ("ev", seq)]
-            live[seq] = entry
-            core.push(entry)
-        elif kind == "cancel":
-            _, seq = op
-            entry = live.pop(seq, None)
-            if entry is not None:
-                entry[3] = None
-        elif kind == "pop":
-            entry = core.pop_live()
-            if entry is None:
-                log.append(None)
-            else:
-                now = entry[0]
-                live.pop(entry[2], None)
-                log.append((entry[0], entry[1], entry[2]))
-        elif kind == "pop_until":
-            _, horizon = op
-            entry = core.pop_live_until(now + horizon)
-            if entry is None:
-                log.append(("none<=", horizon))
-            else:
-                now = entry[0]
-                live.pop(entry[2], None)
-                log.append((entry[0], entry[1], entry[2]))
-        elif kind == "peek":
-            log.append(("peek", core.peek_time()))
-    # Drain everything left so scripts can't hide tail divergence.
-    while True:
-        entry = core.pop_live()
-        if entry is None:
-            break
-        now = entry[0]
-        log.append((entry[0], entry[1], entry[2]))
-    return log
-
-
-def _make_script(seed, n_ops=600):
-    """Randomized but engine-agnostic op sequence (pure data).
-
-    Delays mix sub-bucket ties, same-tick equal keys, zero delays and
-    far-future jumps (past any wheel horizon under test) so every path
-    — drain heap, ring, overflow, jump-to-overflow — is exercised.
-    """
-    rnd = random.Random(seed)
-    script = []
-    seq = 0
-    pending = []
-    for _ in range(n_ops):
-        r = rnd.random()
-        if r < 0.55 or not pending:
-            seq += 1
-            dt = rnd.choice([
-                0, 0, 1, 7, rnd.randrange(16), rnd.randrange(4096),
-                rnd.randrange(1 << 20), rnd.randrange(1 << 27),
-                (1 << 27) + rnd.randrange(1 << 30),  # beyond every horizon
-            ])
-            prio = rnd.choice([0, 1, 1, 1, 2])
-            script.append(("push", seq, dt, prio))
-            pending.append(seq)
-        elif r < 0.70:
-            victim = rnd.choice(pending)
-            pending.remove(victim)
-            script.append(("cancel", victim))
-        elif r < 0.90:
-            script.append(("pop",))
-            if pending:
-                pending.pop(0)  # approximate; replay tracks exactly
-        elif r < 0.95:
-            script.append(("pop_until", rnd.randrange(1 << 16)))
-        else:
-            script.append(("peek",))
-    return script
-
-
-@pytest.mark.parametrize("geometry", WHEEL_GEOMETRIES,
-                         ids=["default", "tiny", "small", "wide"])
-@pytest.mark.parametrize("seed", [11, 22, 33])
-def test_wheel_matches_heap_on_randomized_scripts(seed, geometry):
-    script = _make_script(seed)
-    heap_log = _run_script(BinaryHeapQueue(), script)
-    wheel_log = _run_script(TimingWheel(**geometry), script)
-    assert wheel_log == heap_log
-
-
-def test_wheel_matches_heap_from_nonzero_start():
-    script = _make_script(77)
-    start = 123_456_789
-    shifted = [("push", op[1], op[2], op[3]) if op[0] == "push" else op
-               for op in script]
-    heap_log = _run_script(BinaryHeapQueue(start), shifted)
-    wheel_log = _run_script(TimingWheel(start), shifted)
-    assert wheel_log == heap_log
-
-
-# ======================================================================
-# Layer 2: environment replay against the frozen legacy core
-# ======================================================================
+# ----------------------------------------------------------------------
+# workloads
+# ----------------------------------------------------------------------
 
 def _make_workload(seed, n_roots=60):
     """Pre-generate a schedule/cancel/reschedule workload as pure data.
@@ -202,22 +83,27 @@ def _make_workload(seed, n_roots=60):
             labels.append(child)
         children[label] = kids
     # Cancel targets are restricted to *childless* labels. A cancelled
-    # parent never runs its callback on the current cores, so its
+    # parent never runs its callback on the current core, so its
     # children are never scheduled — but on the no-cancel legacy core
     # they are, shifting every later sequence number and with it the
     # tie-break order of the whole remaining run. Leaf-only cancels keep
     # the operation sequence identical on every engine, so the legacy
     # divergence is exactly the cancelled firings themselves (the
     # documented whitelist) and nothing cascades. Parent cancellation is
-    # still covered heap-vs-wheel by the layer-1 scripts above.
+    # covered by the engine's own tests (tests/sim/test_pqueue.py).
     leaves = [label for label in labels if not children.get(label)]
     for label in rnd.sample(leaves, len(leaves) // 3):
         cancels.append((delays(), label, delays(), rnd.choice(prios)))
     return roots, children, cancels
 
 
-def _replay(env, workload, cancellable):
-    """Run one workload; returns (firing_log, cancelled_labels)."""
+def _replay(env, workload, cancellable, slices=()):
+    """Run one workload; returns (firing_log, cancelled_labels, marks).
+
+    The run advances through each ``run(until=t)`` horizon in
+    ``slices`` (ascending) before draining the rest; ``marks`` holds the
+    log length after each slice.
+    """
     roots, children, cancels = workload
     log = []
     handles = {}
@@ -245,38 +131,67 @@ def _replay(env, workload, cancellable):
                 if t is not None and env.cancel(t):
                     cancelled.add(target)
             # Unconditional on every engine: keeps the op sequence —
-            # and with it seq numbering — identical across cores.
+            # and with it seq numbering — identical across engines.
             schedule(target + "r", re_delay, re_prio)
         t = env.timeout(c_delay, priority=EventPriority.NORMAL)
         t.callbacks.append(canceller)
+    marks = []
+    for horizon in slices:
+        env.run(until=horizon)
+        assert env.now == horizon
+        marks.append(len(log))
     env.run_until_quiet(2**61)
-    return log, cancelled
+    return log, cancelled, marks
+
+
+def _slice_points(seed, legacy_log, n=40):
+    """Ascending ``run(until=t)`` horizons for one workload.
+
+    Drawn around the legacy log's firing times, which include the
+    firings the current engine cancels, so a slice often stops with a
+    tombstone at the head: exact firing times (dispatch at the
+    horizon), one ns either side, repeats, and uniform points.
+    """
+    rnd = random.Random(seed)
+    times = [t for t, _ in legacy_log]
+    points = []
+    for _ in range(n):
+        t = rnd.choice(times)
+        points.append(rnd.choice(
+            [t - 1, t, t, t + 1, rnd.randrange(times[-1] + 1)]))
+    return sorted(p for p in points if p >= 0)
+
+
+def _check_sliced(workload, slices, log, cancelled):
+    """The sliced replay matches the one-shot log, slice by slice."""
+    sliced_log, sliced_cancelled, marks = _replay(
+        Environment(), workload, cancellable=True, slices=slices)
+    assert sliced_log == log
+    assert sliced_cancelled == cancelled
+    times = [t for t, _ in log]
+    assert marks == [bisect.bisect_right(times, h) for h in slices]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_three_engines_agree_on_schedule_cancel_reschedule(seed):
+    """Legacy, current one-shot and current sliced runs agree."""
     workload = _make_workload(seed)
-    heap_log, heap_cancelled = _replay(
-        Environment(core="heap"), workload, cancellable=True)
-    wheel_log, wheel_cancelled = _replay(
-        Environment(core="wheel"), workload, cancellable=True)
-    legacy_log, _ = _replay(
+    legacy_log, _, _ = _replay(
         legacy.Environment(), workload, cancellable=False)
-
-    # The two current cores must agree exactly — including which
-    # cancels won their races.
-    assert wheel_log == heap_log
-    assert wheel_cancelled == heap_cancelled
+    log, cancelled, _ = _replay(Environment(), workload, cancellable=True)
+    assert cancelled, "workload cancelled nothing"
 
     # Whitelisted divergence vs legacy: no cancel support, so the
     # successfully-cancelled firings still happen there. Everything
     # else — order, timestamps, reschedule copies — must match.
     filtered = [(t, label) for t, label in legacy_log
-                if label not in heap_cancelled]
-    assert heap_log == filtered
+                if label not in cancelled]
+    assert log == filtered
     # The whitelist is tight: legacy fired exactly the cancelled set on
     # top of the common log, nothing more.
-    assert len(legacy_log) - len(filtered) == len(heap_cancelled)
+    assert len(legacy_log) - len(filtered) == len(cancelled)
+
+    _check_sliced(workload, _slice_points(seed, legacy_log), log, cancelled)
 
 
 @pytest.mark.parametrize("seed", [6, 7])
@@ -284,55 +199,7 @@ def test_engines_agree_without_cancellation(seed):
     """With no cancels in play all three logs are identical, verbatim."""
     roots, children, _ = _make_workload(seed)
     workload = (roots, children, [])
-    heap_log, _ = _replay(Environment(core="heap"), workload, True)
-    wheel_log, _ = _replay(Environment(core="wheel"), workload, True)
-    legacy_log, _ = _replay(legacy.Environment(), workload, False)
-    assert heap_log == wheel_log == legacy_log
-
-
-def test_processed_event_counts_match_across_cores():
-    workload = _make_workload(42)
-    env_h = Environment(core="heap")
-    env_w = Environment(core="wheel")
-    _replay(env_h, workload, True)
-    _replay(env_w, workload, True)
-    assert env_h.processed_events == env_w.processed_events
-    assert env_h.cancelled_events == env_w.cancelled_events
-    assert env_h.now == env_w.now
-
-
-# ======================================================================
-# Layer 3: full-stack cluster fingerprints, heap == wheel
-# ======================================================================
-
-def _cluster_fingerprint(core, seed):
-    from repro.config import SimConfig
-    from repro.hw.cluster import build_cluster
-    from repro.monitoring import create_scheme
-    from repro.sim.units import ms
-
-    cfg = SimConfig(num_backends=8, master_seed=seed)
-    cfg.engine.core = core
-    sim = build_cluster(cfg)
-    scheme = create_scheme("rdma-sync", sim, interval=ms(5))
-
-    def poller(k):
-        while True:
-            yield from scheme.query_all(k)
-            yield k.sleep(ms(5))
-
-    sim.frontend.spawn("poller", poller)
-    sim.run(ms(40))
-    return (
-        sim.env.processed_events,
-        sim.env.now,
-        tuple(sorted(
-            (i, info.collected_at, info.cpu_util, info.nr_running)
-            for i, info in getattr(scheme, "latest", {}).items())),
-    )
-
-
-@pytest.mark.parametrize("seed", [101, 202, 303])
-def test_cluster_fingerprint_identical_per_core(seed):
-    assert (_cluster_fingerprint("wheel", seed)
-            == _cluster_fingerprint("heap", seed))
+    legacy_log, _, _ = _replay(legacy.Environment(), workload, False)
+    log, _, _ = _replay(Environment(), workload, True)
+    assert log == legacy_log
+    _check_sliced(workload, _slice_points(seed, legacy_log), log, set())

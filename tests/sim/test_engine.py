@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine: clock, ordering, run() modes."""
 
+import re
+
 import pytest
 
 from repro.sim.engine import Environment, SimulationError, StopSimulation
@@ -96,6 +98,21 @@ def test_negative_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1)
+
+
+@pytest.mark.parametrize("delay", [1.5, 5e6])
+def test_call_later_rejects_non_integer_delay(delay):
+    # call_later does not coerce with int() the way timeout() does, so a
+    # float delay would make the clock a float; it must be refused.
+    env = Environment()
+    fired = []
+    with pytest.raises(TypeError, match=re.escape(repr(delay))):
+        env.call_later(delay, lambda: fired.append("float"))
+    env.call_later(5, lambda: fired.append("int"))
+    env.run()
+    assert fired == ["int"]
+    assert env.now == 5
+    assert type(env.now) is int
 
 
 def test_stop_simulation_from_process():

@@ -7,6 +7,9 @@ cancellation nor scheduling *during dispatch* can reorder anything
 already queued.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.engine import Environment
 from repro.sim.events import EventPriority
 
@@ -126,3 +129,79 @@ def test_processes_see_fifo_wakeups_at_same_time():
         env.process(sleeper(tag))
     env.run_until_quiet(20)
     assert order == ["a", "b", "c"]
+
+
+@given(n=st.integers(min_value=1, max_value=30))
+@settings(max_examples=30, deadline=None)
+def test_zero_delay_timeouts_fire_in_schedule_order(n):
+    """delay=0 timeouts dispatch this instant, in exact schedule order —
+    including zero-delay chains scheduled from inside a firing
+    callback."""
+    env = Environment()
+    log = []
+
+    def chain(depth, label):
+        def cb(ev):
+            log.append(label)
+            if depth < 2:
+                t = env.timeout(0)
+                t.callbacks.append(chain(depth + 1, f"{label}+"))
+        return cb
+
+    for i in range(n):
+        t = env.timeout(0)
+        t.callbacks.append(chain(0, f"z{i}"))
+    env.run_until_quiet(10)
+    expected = [f"z{i}" for i in range(n)]
+    expected += [f"z{i}+" for i in range(n)]
+    expected += [f"z{i}++" for i in range(n)]
+    assert log == expected
+    assert env.now == 10
+
+
+@given(
+    base=st.integers(min_value=0, max_value=1 << 20),
+    retries=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_retry_never_reorders_ties(base, retries):
+    """The cancel+reschedule (retry) pattern: a rescheduled event lands
+    at its new time with a *fresh, larger* sequence number, so it can
+    never overtake an event already scheduled for the same (time,
+    priority), at any retry depth."""
+    env = Environment()
+    log = []
+
+    def logger(label):
+        return lambda ev: log.append((env.now, label))
+
+    # A stable bystander at the retry's final landing time, chosen
+    # strictly after the last driver tick (at retries * 10).
+    final = base + retries * 10 + 5
+    t_by = env.timeout(final, priority=EventPriority.NORMAL)
+    t_by.callbacks.append(logger("bystander"))
+
+    state = {"left": retries}
+
+    def schedule_retry(delay):
+        t = env.timeout(delay, priority=EventPriority.NORMAL)
+        t.callbacks.append(logger("retry"))
+        state["handle"] = t
+
+    def driver(ev):
+        if state["left"] > 0:
+            state["left"] -= 1
+            assert env.cancel(state["handle"])
+            schedule_retry(final - env.now)  # re-land exactly on `final`
+            if state["left"] > 0:
+                nxt = env.timeout(10)
+                nxt.callbacks.append(driver)
+
+    schedule_retry(final)
+    first = env.timeout(10)
+    first.callbacks.append(driver)
+    env.run_until_quiet(final + 1)
+    # Exactly one retry firing, exactly at `final`, and the bystander —
+    # scheduled first — keeps its tie-break priority.
+    assert log == [(final, "bystander"), (final, "retry")]
+    assert env.cancelled_events == retries

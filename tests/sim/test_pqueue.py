@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Environment
+from repro.sim.engine import PEEK_NEVER, EmptySchedule, Environment
 from repro.sim.pqueue import IndexedHeap
 
 
@@ -152,7 +152,12 @@ def test_cancelled_events_do_not_count_as_processed():
 def test_peek_skips_cancelled_head():
     env = Environment()
     early = env.timeout(3)
-    env.timeout(8)
+    late = env.timeout(8)
     assert env.peek() == 3
     env.cancel(early)
     assert env.peek() == 8
+    # Only tombstones left: the heap reads as empty.
+    env.cancel(late)
+    assert env.peek() == PEEK_NEVER
+    with pytest.raises(EmptySchedule):
+        env.step()
