@@ -48,9 +48,11 @@ def make_read_post(qp, mr):
     """Prebuilt, untraced RDMA-read post closure for one (QP, MR) pair.
 
     The RDMA schemes build one of these per back-end at deploy time and
-    reuse it on every unsampled probe, so the steady-state polling loop
-    allocates no per-query closure — the per-call lambda survives only
-    on the (rare) traced path, which needs the fresh span context.
+    reuse it on every unsampled probe, so the polling loop builds no
+    closure per query — the per-call lambda survives only on the (rare)
+    traced path, which needs the fresh span context. Each post still
+    allocates the read's work request, its completion event and the
+    bound method of its pending stage (see ``repro.transport.verbs``).
     """
     rkey = mr.rkey
     nbytes = mr.nbytes

@@ -139,12 +139,15 @@ class Environment:
     def call_later(self, delay: int, fn, priority: int = EventPriority.NORMAL) -> None:
         """Schedule ``fn()`` to run ``delay`` ns from now (fire-and-forget).
 
-        The zero-allocation fast path for hardware service callbacks
-        (NIC DMA completion, wire arrival): the carrier event comes from
-        — and immediately returns to — an internal pool, so the
-        steady-state verbs/fabric paths allocate nothing per operation.
-        The schedule is deliberately not cancellable and not waitable;
-        use :meth:`timeout` when a handle is needed. Ordering is the
+        The fast path for hardware service callbacks (NIC DMA
+        completion, wire arrival): the carrier and its heap entry come
+        from — and return to — an internal pool, so with a warm pool
+        scheduling allocates no object the cyclic collector tracks. The
+        callable is the caller's: a bound method of a long-lived object
+        costs one small method object, a closure built per operation
+        costs a function, its cells and their tuple. The schedule is
+        deliberately not cancellable and not waitable; use
+        :meth:`timeout` when a handle is needed. Ordering is the
         ordinary ``(time, priority, seq)`` contract, identical to an
         equivalently-scheduled timeout.
 
@@ -160,7 +163,10 @@ class Environment:
         hook = pool.pop() if pool else Hook(self)
         hook.fn = fn
         self._seq = seq = self._seq + 1
-        hook._entry = entry = [self._now + delay, priority, seq, hook]
+        entry = hook._heap_entry
+        entry[0] = self._now + delay
+        entry[1] = priority
+        entry[2] = seq
         self._push(entry)
 
     def cancel(self, event: Event) -> bool:

@@ -210,17 +210,19 @@ class Hook:
     """A pooled fire-and-forget callback carrier (engine internal).
 
     Behaves just enough like an :class:`Event` for the dispatch loop:
-    it carries an ``_entry``, reports ``_ok``/``_defused``/``_processed``
-    through constant class attributes, and ``_process`` runs exactly one
-    no-argument callable — after which the carrier recycles itself into
-    the environment's pool. Scheduled via
-    :meth:`~repro.sim.engine.Environment.call_later`, this replaces the
-    hot hardware-callback idiom (fresh ``Timeout`` + callback list +
-    closure per op) with zero steady-state allocation. Hooks cannot be
-    waited on or cancelled; they are not part of the Event lifecycle.
+    it accepts the loop's ``_entry`` write, reports
+    ``_ok``/``_defused``/``_processed`` through constant class
+    attributes, and ``_process`` runs exactly one no-argument callable —
+    after which the carrier recycles itself into the environment's pool.
+    Each carrier owns one heap entry, refilled in place every time
+    :meth:`~repro.sim.engine.Environment.call_later` schedules it, so a
+    warm pool schedules a callback without allocating any object the
+    cyclic collector tracks; the callable itself is the caller's. Hooks
+    cannot be waited on or cancelled; they are not part of the Event
+    lifecycle.
     """
 
-    __slots__ = ("env", "fn", "_entry")
+    __slots__ = ("env", "fn", "_entry", "_heap_entry")
 
     _ok = True
     _defused = False
@@ -230,15 +232,20 @@ class Hook:
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.fn: Optional[Callable[[], None]] = None
+        #: written by the dispatch loop; a hook is never cancelled, so
+        #: nothing reads it
         self._entry: Optional[list] = None
+        #: this carrier's ``[time, priority, seq, self]`` heap entry;
+        #: only rewritten while the carrier is pooled, i.e. off the heap
+        self._heap_entry: list = [0, 0, 0, self]
 
     def _process(self) -> None:
         fn = self.fn
         self.fn = None
-        # Recycle before the call: _entry/fn are dead, and the dispatch
-        # loop only reads the constant class attributes afterwards, so a
-        # reentrant call_later from inside fn() may safely reuse this
-        # carrier.
+        # Recycle before the call: the heap entry was popped and fn is
+        # dead, and the dispatch loop only reads the constant class
+        # attributes afterwards, so a reentrant call_later from inside
+        # fn() may safely reuse this carrier and its entry.
         self.env._hook_pool.append(self)
         fn()
 

@@ -169,10 +169,277 @@ class CompletionQueue:
         return wc
 
 
+class _VerbTrace:
+    """Segment spans of one traced read or write.
+
+    :meth:`mark` records one ``rdma.<opcode>.<segment>`` child from the
+    previous mark to now; :meth:`finish` closes the completion segment
+    and the verb span. All bookkeeping happens inside NIC/fabric
+    callbacks at times the simulation produces anyway: zero simulated
+    cost.
+    """
+
+    __slots__ = ("tracer", "env", "verb", "prefix", "cursor")
+
+    def __init__(self, tracer, opcode: str, ctx, node: "Node", attrs: dict) -> None:
+        self.tracer = tracer
+        self.env = node.env
+        self.prefix = f"rdma.{opcode}"
+        self.verb = tracer.start_span(self.prefix, ctx, node=node.name,
+                                      component="nic", attrs=attrs)
+        self.cursor = node.env.now
+
+    def mark(self, name: str, node: str, component: str) -> None:
+        now = self.env.now
+        self.tracer.record(f"{self.prefix}.{name}", self.verb, self.cursor, now,
+                           node=node, component=component)
+        self.cursor = now
+
+    def finish(self, wc: WorkCompletion, node: str) -> None:
+        status = STATUS_OK if wc.ok else STATUS_ERROR
+        now = self.env.now
+        self.tracer.record(f"{self.prefix}.completion", self.verb, self.cursor, now,
+                           node=node, component="nic", status=status)
+        self.cursor = now
+        self.tracer.end(self.verb, status=status, attrs={"wc": wc.status.value})
+
+
+class _WorkRequest:
+    """One posted one-sided verb, from WQE fetch to completion interrupt.
+
+    Each pipeline stage is a method, and the NIC, the fabric and the IRQ
+    controller are handed the next stage as a bound method. An in-flight
+    verb therefore holds this object, its completion event, the pending
+    stage and, after the target DMA, its work completion. Closures built
+    per post would hold some twenty tracked objects, and a verb lives
+    long enough for the cyclic collector to promote every one of them
+    (docs/PERF.md, "Allocation and the cyclic collector"). Subclasses
+    supply what differs per verb.
+    """
+
+    __slots__ = ("qp", "rkey", "nbytes", "wr_id", "done", "wc", "handle", "trace")
+
+    #: opcode reported in the work completion
+    opcode = ""
+    #: verb name the fault plane matches on
+    fault_opcode = ""
+    #: registration right the target NIC checks
+    access = AccessFlags(0)
+    #: the target NAKs a length beyond the registered region
+    checks_length = True
+
+    def __init__(self, qp: "QueuePair", rkey: int, nbytes: int,
+                 trace: Optional[_VerbTrace]) -> None:
+        self.qp = qp
+        self.rkey = rkey
+        self.nbytes = nbytes
+        self.wr_id = qp._next_wr
+        qp._next_wr += 1
+        self.done = Event(qp.local.env)
+        self.wc: Optional[WorkCompletion] = None
+        self.handle: Optional[MemoryRegionHandle] = None
+        self.trace = trace
+
+    def post(self) -> Event:
+        """Hand the WQE to the initiator NIC; returns the completion event."""
+        local = self.qp.local
+        tn = local.nic.tenancy
+        if tn is None:
+            local.nic.dma_service(local.cfg.net.nic_wqe_service, self._wqe_fetched)
+            return self.done
+        verdict = tn.police(self.qp, self.nbytes)
+        if verdict < 0:
+            self.wc = WorkCompletion(self.opcode, WcStatus.TENANT_DENIED, self.wr_id)
+            local.env.call_later(1, self._complete)
+        elif verdict == 0:
+            self._launch()
+        else:
+            local.env.call_later(verdict, self._launch, priority=EventPriority.HIGH)
+        return self.done
+
+    def _launch(self) -> None:
+        # Initiator NIC under tenancy: fetch the QP context (ICM), then
+        # the WQE.
+        qp = self.qp
+        nic = qp.local.nic
+        pen = nic.tenancy.icm_touch(nic, ("qp", qp.local.name, qp.qpn), qp.tenant)
+        nic.dma_service(qp.local.cfg.net.nic_wqe_service + pen, self._wqe_fetched)
+
+    def _wqe_fetched(self) -> None:
+        """WQE fetched: emit the request packet."""
+        qp = self.qp
+        if self.trace is not None:
+            self.trace.mark("post", qp.local.name, "nic")
+        nic = qp.local.nic
+        nic.fabric.transmit(nic, qp.remote.nic, self._request_bytes(qp.local.cfg.net),
+                            self._at_target, prio=qp.service_level)
+
+    def _at_target(self) -> None:
+        """Request at the target NIC: check it, then queue the DMA."""
+        qp = self.qp
+        remote = qp.remote
+        if self.trace is not None:
+            self.trace.mark("at_target", remote.name, "fabric")
+        faults = getattr(qp.local.nic.fabric, "faults", None)
+        if faults is not None:
+            nak = faults.on_verb(qp.local, remote, self.fault_opcode)
+            if nak is not None:
+                self._nak(nak)
+                return
+        handle = qp._remote_pd.lookup(self.rkey)
+        if handle is None:
+            self._nak(WcStatus.INVALID_RKEY)
+            return
+        if not handle.access & self.access:
+            # For writes to a read-only registration this is the NAK
+            # that implements §6's "mark these memory regions read-only".
+            self._nak(WcStatus.REMOTE_ACCESS_ERROR)
+            return
+        if self.checks_length and self.nbytes > handle.nbytes:
+            self._nak(WcStatus.LENGTH_ERROR)
+            return
+        self.handle = handle
+        nic = remote.nic
+        cost = self._dma_cost(qp.local.cfg.net)
+        tn = nic.tenancy
+        if tn is not None:
+            # Target-side context: the responder fetches the QP's
+            # connection state and the MR's translation entry; a cold
+            # entry stalls the DMA on the PCIe refill.
+            owner = qp.tenant if qp.tenant is not None else tn.registry.system
+            cost += tn.icm_touch(nic, ("qp", qp.local.name, qp.qpn), owner)
+            cost += tn.icm_touch(nic, ("mr", self.rkey), owner)
+        nic.dma_service(cost, self._dma_done)
+
+    def _request_bytes(self, net) -> int:
+        raise NotImplementedError
+
+    def _dma_cost(self, net) -> int:
+        return net.nic_dma_service + (self.nbytes * net.nic_dma_per_kb) // 1024
+
+    def _dma_done(self) -> None:
+        """DMA done at the target: set ``wc`` and send the response."""
+        raise NotImplementedError
+
+    def _respond(self, payload: int, on_arrival) -> None:
+        qp = self.qp
+        remote_nic, local_nic = qp.remote.nic, qp.local.nic
+        local_nic.fabric.transmit(remote_nic, local_nic,
+                                  payload + qp.local.cfg.net.rdma_overhead_bytes,
+                                  on_arrival, prio=qp.service_level)
+
+    def _nak(self, status: WcStatus) -> None:
+        """Refuse at the target; the NAK completes as it lands."""
+        self.wc = WorkCompletion(self.opcode, status, self.wr_id)
+        self._respond(0, self._complete)
+
+    def _response_landed(self) -> None:
+        """Response landed: the initiator NIC writes the CQE."""
+        nic = self.qp.local.nic
+        nic.dma_service(self.qp.local.cfg.net.cqe_cost, self._complete)
+
+    def _complete(self) -> None:
+        """CQE written (or a NAK or denial landed): interrupt the host."""
+        wc = self.wc
+        local = self.qp.local
+        wc.completed_at = local.env.now
+        if self.trace is not None:
+            self.trace.finish(wc, local.name)
+        # The CQ interrupt runs before the waiting task can be woken.
+        # The NIC's method is looked up now, not at post time, so a
+        # wrapper installed on the instance sees every completion.
+        local.nic.raise_cq_interrupt(self._interrupt)
+
+    def _interrupt(self) -> None:
+        """Completion interrupt handled: wake the waiter."""
+        self.done.succeed(self.wc)
+
+
+class _Read(_WorkRequest):
+    __slots__ = ()
+    opcode = fault_opcode = "read"
+    access = AccessFlags.REMOTE_READ
+
+    def _request_bytes(self, net) -> int:
+        return net.rdma_overhead_bytes
+
+    def _dma_done(self) -> None:
+        if self.trace is not None:
+            self.trace.mark("dma", self.qp.remote.name, "nic")
+        # Value is captured at the DMA instant — the essence of
+        # reading "always current" kernel memory.
+        self.wc = WorkCompletion("read", WcStatus.SUCCESS, self.wr_id,
+                                 value=self.handle.region.read(), nbytes=self.nbytes)
+        self._respond(self.nbytes, self._response_landed)
+
+
+class _Write(_WorkRequest):
+    __slots__ = ("value",)
+    opcode = fault_opcode = "write"
+    access = AccessFlags.REMOTE_WRITE
+
+    def __init__(self, qp: "QueuePair", rkey: int, nbytes: int,
+                 trace: Optional[_VerbTrace], value: Any) -> None:
+        super().__init__(qp, rkey, nbytes, trace)
+        self.value = value
+
+    def _request_bytes(self, net) -> int:
+        return self.nbytes + net.rdma_overhead_bytes
+
+    def _dma_done(self) -> None:
+        if self.trace is not None:
+            self.trace.mark("dma", self.qp.remote.name, "nic")
+        self.handle.region.write(self.value)
+        self.wc = WorkCompletion("write", WcStatus.SUCCESS, self.wr_id, nbytes=self.nbytes)
+        self._respond(0, self._response_landed)
+
+
+class _Atomic(_WorkRequest):
+    """Fetch-and-add or compare-and-swap on a 64-bit word: 16 request
+    bytes (two operands), 8 response bytes, no tracing segments."""
+
+    __slots__ = ("opcode", "operand", "expected")
+    fault_opcode = "atomic"
+    access = AccessFlags.REMOTE_ATOMIC
+    # The target checks at DMA time that the word holds an int instead.
+    checks_length = False
+
+    def __init__(self, qp: "QueuePair", rkey: int, op: str, operand: int,
+                 expected: Optional[int]) -> None:
+        super().__init__(qp, rkey, 8, None)
+        self.opcode = op
+        self.operand = operand
+        self.expected = expected
+
+    def _request_bytes(self, net) -> int:
+        return 16 + net.rdma_overhead_bytes
+
+    def _dma_cost(self, net) -> int:
+        return net.nic_dma_service
+
+    def _nak(self, status: WcStatus) -> None:
+        # Atomic NAKs ride the 8-byte response and pay the CQE DMA.
+        self.wc = WorkCompletion(self.opcode, status, self.wr_id)
+        self._respond(8, self._response_landed)
+
+    def _dma_done(self) -> None:
+        region = self.handle.region
+        previous = region.read()
+        if not isinstance(previous, int):
+            self._nak(WcStatus.LENGTH_ERROR)
+            return
+        # Locked read-modify-write at the DMA instant.
+        if self.opcode == "fetch-add":
+            region.write(previous + self.operand)
+        elif self.expected is not None and previous == self.expected:
+            region.write(self.operand)
+        self.wc = WorkCompletion(self.opcode, WcStatus.SUCCESS, self.wr_id,
+                                 value=previous, nbytes=8)
+        self._respond(8, self._response_landed)
+
+
 class QueuePair:
     """A reliable-connection queue pair between two nodes."""
-
-    _next_wr = [1]
 
     def __init__(self, local: "Node", remote: "Node", cq: Optional[CompletionQueue] = None) -> None:
         self.local = local
@@ -191,6 +458,9 @@ class QueuePair:
         #: PFC service level for this QP's packets: 0 = bulk, 1 =
         #: monitoring/control class that bypasses priority-0 pauses
         self.service_level = 0
+        #: next work-request id; per QP, so same-seed runs in one
+        #: process number their work requests alike
+        self._next_wr = 1
         #: owning tenant (set by the tenancy plane; None when it's off)
         self.tenant = None
         self._destroyed = False
@@ -238,241 +508,26 @@ class QueuePair:
         wc = yield k.wait(wc_event)
         return wc
 
-    def _segments(self, opcode: str, ctx, attrs):
-        """Verb-span plumbing shared by read/write posts.
-
-        Returns ``(verb_span, mark, finish)`` — or ``(None, None, None)``
-        when tracing is off or the trace unsampled. ``mark(name, node,
-        component)`` records one segment child from the previous mark to
-        now; ``finish(wc)`` closes the last segment and the verb span.
-        All bookkeeping happens inside NIC/fabric callbacks at times the
-        simulation produces anyway: zero simulated cost.
-        """
+    def _segments(self, opcode: str, ctx, rkey: int, nbytes: int) -> Optional[_VerbTrace]:
+        """Segment spans for a read or write, or None when tracing is
+        off or ``ctx`` is unsampled."""
         tracer = tracer_for(self.local, ctx)
         if tracer is None:
-            return None, None, None
-        env = self.local.env
-        verb = tracer.start_span(f"rdma.{opcode}", ctx, node=self.local.name,
-                                 component="nic", attrs=attrs)
-        cursor = [env.now]
+            return None
+        return _VerbTrace(tracer, opcode, ctx, self.local,
+                          {"rkey": rkey, "nbytes": nbytes, "target": self.remote.name})
 
-        def mark(name: str, node: str, component: str) -> None:
-            now = env.now
-            tracer.record(f"rdma.{opcode}.{name}", verb, cursor[0], now,
-                          node=node, component=component)
-            cursor[0] = now
-
-        def finish(wc: WorkCompletion) -> None:
-            status = STATUS_OK if wc.ok else STATUS_ERROR
-            now = env.now
-            tracer.record(f"rdma.{opcode}.completion", verb, cursor[0], now,
-                          node=self.local.name, component="nic", status=status)
-            cursor[0] = now
-            tracer.end(verb, status=status, attrs={"wc": wc.status.value})
-
-        return verb, mark, finish
-
-    def _post_read(self, rkey: int, nbytes: int, ctx=None):
+    def _post_read(self, rkey: int, nbytes: int, ctx=None) -> Event:
         """Hardware-side read flow; returns an event firing with the WC."""
-        env = self.local.env
-        cfg = self.local.cfg.net
-        wr_id = QueuePair._next_wr[0]
-        QueuePair._next_wr[0] += 1
         self.reads += 1
-        done = Event(env)
-        local_nic, remote_nic = self.local.nic, self.remote.nic
-        fabric = local_nic.fabric
-        assert fabric is not None
-        tn = local_nic.tenancy
-        sl = self.service_level
-        if ctx is None:  # untraced steady-state: skip span plumbing
-            seg_mark = seg_finish = None
-        else:
-            _, seg_mark, seg_finish = self._segments(
-                "read", ctx,
-                {"rkey": rkey, "nbytes": nbytes, "target": self.remote.name})
+        trace = None if ctx is None else self._segments("read", ctx, rkey, nbytes)
+        return _Read(self, rkey, nbytes, trace).post()
 
-        def complete(wc: WorkCompletion) -> None:
-            wc.completed_at = env.now
-            if seg_finish is not None:
-                seg_finish(wc)
-            # Completion raises a CQ interrupt on the initiator before the
-            # waiting task can be woken.
-            local_nic.raise_cq_interrupt(lambda: done.succeed(wc))
-
-        def at_target() -> None:
-            if seg_mark is not None:
-                seg_mark("at_target", self.remote.name, "fabric")
-            faults = getattr(fabric, "faults", None)
-            if faults is not None:
-                nak = faults.on_verb(self.local, self.remote, "read")
-                if nak is not None:
-                    fabric.transmit(remote_nic, local_nic, cfg.rdma_overhead_bytes,
-                                    lambda: complete(WorkCompletion("read", nak, wr_id)),
-                                    prio=sl)
-                    return
-            pd = self._remote_pd
-            handle = pd.lookup(rkey)
-            if handle is None:
-                fabric.transmit(remote_nic, local_nic, cfg.rdma_overhead_bytes,
-                                lambda: complete(WorkCompletion("read", WcStatus.INVALID_RKEY, wr_id)),
-                                prio=sl)
-                return
-            if not handle.access & AccessFlags.REMOTE_READ:
-                fabric.transmit(remote_nic, local_nic, cfg.rdma_overhead_bytes,
-                                lambda: complete(WorkCompletion("read", WcStatus.REMOTE_ACCESS_ERROR, wr_id)),
-                                prio=sl)
-                return
-            if nbytes > handle.nbytes:
-                fabric.transmit(remote_nic, local_nic, cfg.rdma_overhead_bytes,
-                                lambda: complete(WorkCompletion("read", WcStatus.LENGTH_ERROR, wr_id)),
-                                prio=sl)
-                return
-            dma_cost = cfg.nic_dma_service + (nbytes * cfg.nic_dma_per_kb) // 1024
-            tn_r = remote_nic.tenancy
-            if tn_r is not None:
-                # Target-side context: the responder fetches the QP's
-                # connection state and the MR's translation entry; a
-                # cold entry stalls the DMA on the PCIe refill.
-                owner = self.tenant if self.tenant is not None else tn_r.registry.system
-                dma_cost += tn_r.icm_touch(
-                    remote_nic, ("qp", self.local.name, self.qpn), owner)
-                dma_cost += tn_r.icm_touch(remote_nic, ("mr", rkey), owner)
-
-            def dma_done() -> None:
-                if seg_mark is not None:
-                    seg_mark("dma", self.remote.name, "nic")
-                # Value is captured at the DMA instant — the essence of
-                # reading "always current" kernel memory.
-                value = handle.region.read()
-                wc = WorkCompletion("read", WcStatus.SUCCESS, wr_id, value=value, nbytes=nbytes)
-                fabric.transmit(remote_nic, local_nic, nbytes + cfg.rdma_overhead_bytes,
-                                lambda: local_nic.dma_service(cfg.cqe_cost, lambda: complete(wc)),
-                                prio=sl)
-
-            remote_nic.dma_service(dma_cost, dma_done)
-
-        def wqe_done() -> None:
-            if seg_mark is not None:
-                seg_mark("post", self.local.name, "nic")
-            fabric.transmit(local_nic, remote_nic, cfg.rdma_overhead_bytes, at_target,
-                            prio=sl)
-
-        def launch() -> None:
-            # Initiator NIC: fetch the QP context (ICM) and the WQE,
-            # emit the request packet.
-            pen = tn.icm_touch(local_nic, ("qp", self.local.name, self.qpn),
-                               self.tenant) if tn is not None else 0
-            local_nic.dma_service(cfg.nic_wqe_service + pen, wqe_done)
-
-        if tn is None:
-            local_nic.dma_service(cfg.nic_wqe_service, wqe_done)
-        else:
-            verdict = tn.police(self, nbytes)
-            if verdict < 0:
-                env.call_later(1, lambda: complete(
-                    WorkCompletion("read", WcStatus.TENANT_DENIED, wr_id)))
-            elif verdict == 0:
-                launch()
-            else:
-                env.call_later(verdict, launch, priority=EventPriority.HIGH)
-        return done
-
-    def _post_write(self, rkey: int, value: Any, nbytes: int, ctx=None):
-        env = self.local.env
-        cfg = self.local.cfg.net
-        wr_id = QueuePair._next_wr[0]
-        QueuePair._next_wr[0] += 1
+    def _post_write(self, rkey: int, value: Any, nbytes: int, ctx=None) -> Event:
+        """Hardware-side write flow; the value lands at target DMA time."""
         self.writes += 1
-        done = Event(env)
-        local_nic, remote_nic = self.local.nic, self.remote.nic
-        fabric = local_nic.fabric
-        assert fabric is not None
-        tn = local_nic.tenancy
-        sl = self.service_level
-        if ctx is None:  # untraced steady-state: skip span plumbing
-            seg_mark = seg_finish = None
-        else:
-            _, seg_mark, seg_finish = self._segments(
-                "write", ctx,
-                {"rkey": rkey, "nbytes": nbytes, "target": self.remote.name})
-
-        def complete(wc: WorkCompletion) -> None:
-            wc.completed_at = env.now
-            if seg_finish is not None:
-                seg_finish(wc)
-            local_nic.raise_cq_interrupt(lambda: done.succeed(wc))
-
-        def at_target() -> None:
-            if seg_mark is not None:
-                seg_mark("at_target", self.remote.name, "fabric")
-            faults = getattr(fabric, "faults", None)
-            if faults is not None:
-                nak = faults.on_verb(self.local, self.remote, "write")
-                if nak is not None:
-                    fabric.transmit(remote_nic, local_nic, cfg.rdma_overhead_bytes,
-                                    lambda: complete(WorkCompletion("write", nak, wr_id)),
-                                    prio=sl)
-                    return
-            pd = self._remote_pd
-            handle = pd.lookup(rkey)
-            status = WcStatus.SUCCESS
-            if handle is None:
-                status = WcStatus.INVALID_RKEY
-            elif not handle.access & AccessFlags.REMOTE_WRITE:
-                # Read-only registration: the NAK that implements §6's
-                # "mark these memory regions read-only".
-                status = WcStatus.REMOTE_ACCESS_ERROR
-            elif nbytes > handle.nbytes:
-                status = WcStatus.LENGTH_ERROR
-            if status is not WcStatus.SUCCESS:
-                fabric.transmit(remote_nic, local_nic, cfg.rdma_overhead_bytes,
-                                lambda: complete(WorkCompletion("write", status, wr_id)),
-                                prio=sl)
-                return
-            dma_cost = cfg.nic_dma_service + (nbytes * cfg.nic_dma_per_kb) // 1024
-            tn_r = remote_nic.tenancy
-            if tn_r is not None:
-                owner = self.tenant if self.tenant is not None else tn_r.registry.system
-                dma_cost += tn_r.icm_touch(
-                    remote_nic, ("qp", self.local.name, self.qpn), owner)
-                dma_cost += tn_r.icm_touch(remote_nic, ("mr", rkey), owner)
-
-            def dma_done() -> None:
-                if seg_mark is not None:
-                    seg_mark("dma", self.remote.name, "nic")
-                assert handle is not None
-                handle.region.write(value)
-                wc = WorkCompletion("write", WcStatus.SUCCESS, wr_id, nbytes=nbytes)
-                fabric.transmit(remote_nic, local_nic, cfg.rdma_overhead_bytes,
-                                lambda: local_nic.dma_service(cfg.cqe_cost, lambda: complete(wc)),
-                                prio=sl)
-
-            remote_nic.dma_service(dma_cost, dma_done)
-
-        def wqe_done() -> None:
-            if seg_mark is not None:
-                seg_mark("post", self.local.name, "nic")
-            fabric.transmit(local_nic, remote_nic, nbytes + cfg.rdma_overhead_bytes, at_target,
-                            prio=sl)
-
-        def launch() -> None:
-            pen = tn.icm_touch(local_nic, ("qp", self.local.name, self.qpn),
-                               self.tenant) if tn is not None else 0
-            local_nic.dma_service(cfg.nic_wqe_service + pen, wqe_done)
-
-        if tn is None:
-            local_nic.dma_service(cfg.nic_wqe_service, wqe_done)
-        else:
-            verdict = tn.police(self, nbytes)
-            if verdict < 0:
-                env.call_later(1, lambda: complete(
-                    WorkCompletion("write", WcStatus.TENANT_DENIED, wr_id)))
-            elif verdict == 0:
-                launch()
-            else:
-                env.call_later(verdict, launch, priority=EventPriority.HIGH)
-        return done
+        trace = None if ctx is None else self._segments("write", ctx, rkey, nbytes)
+        return _Write(self, rkey, nbytes, trace, value).post()
 
     # ------------------------------------------------------------------
     # atomics (IBA fetch-and-add / compare-and-swap)
@@ -497,88 +552,9 @@ class QueuePair:
         wc = yield k.wait(wc_event)
         return wc
 
-    def _post_atomic(self, rkey: int, op: str, operand: int, expected: Optional[int]):
-        env = self.local.env
-        cfg = self.local.cfg.net
-        wr_id = QueuePair._next_wr[0]
-        QueuePair._next_wr[0] += 1
-        done = env.event()
-        local_nic, remote_nic = self.local.nic, self.remote.nic
-        fabric = local_nic.fabric
-        assert fabric is not None
-        tn = local_nic.tenancy
-        sl = self.service_level
-
-        def complete(wc: WorkCompletion) -> None:
-            wc.completed_at = env.now
-            local_nic.raise_cq_interrupt(lambda: done.succeed(wc))
-
-        def respond(wc: WorkCompletion) -> None:
-            fabric.transmit(remote_nic, local_nic, 8 + cfg.rdma_overhead_bytes,
-                            lambda: local_nic.dma_service(cfg.cqe_cost,
-                                                          lambda: complete(wc)),
-                            prio=sl)
-
-        def at_target() -> None:
-            faults = getattr(fabric, "faults", None)
-            if faults is not None:
-                nak = faults.on_verb(self.local, self.remote, "atomic")
-                if nak is not None:
-                    respond(WorkCompletion(op, nak, wr_id))
-                    return
-            pd = self._remote_pd
-            handle = pd.lookup(rkey)
-            if handle is None:
-                respond(WorkCompletion(op, WcStatus.INVALID_RKEY, wr_id))
-                return
-            if not handle.access & AccessFlags.REMOTE_ATOMIC:
-                respond(WorkCompletion(op, WcStatus.REMOTE_ACCESS_ERROR, wr_id))
-                return
-            atomic_cost = cfg.nic_dma_service
-            tn_r = remote_nic.tenancy
-            if tn_r is not None:
-                owner = self.tenant if self.tenant is not None else tn_r.registry.system
-                atomic_cost += tn_r.icm_touch(
-                    remote_nic, ("qp", self.local.name, self.qpn), owner)
-                atomic_cost += tn_r.icm_touch(remote_nic, ("mr", rkey), owner)
-
-            def dma_done() -> None:
-                assert handle is not None
-                previous = handle.region.read()
-                if not isinstance(previous, int):
-                    respond(WorkCompletion(op, WcStatus.LENGTH_ERROR, wr_id))
-                    return
-                # Locked read-modify-write at the DMA instant.
-                if op == "fetch-add":
-                    handle.region.write(previous + operand)
-                elif expected is not None and previous == expected:
-                    handle.region.write(operand)
-                respond(WorkCompletion(op, WcStatus.SUCCESS, wr_id,
-                                       value=previous, nbytes=8))
-
-            remote_nic.dma_service(atomic_cost, dma_done)
-
-        def wqe_done() -> None:
-            fabric.transmit(local_nic, remote_nic,
-                            16 + cfg.rdma_overhead_bytes, at_target, prio=sl)
-
-        def launch() -> None:
-            pen = tn.icm_touch(local_nic, ("qp", self.local.name, self.qpn),
-                               self.tenant) if tn is not None else 0
-            local_nic.dma_service(cfg.nic_wqe_service + pen, wqe_done)
-
-        if tn is None:
-            local_nic.dma_service(cfg.nic_wqe_service, wqe_done)
-        else:
-            verdict = tn.police(self, 8)
-            if verdict < 0:
-                env.call_later(1, lambda: complete(
-                    WorkCompletion(op, WcStatus.TENANT_DENIED, wr_id)))
-            elif verdict == 0:
-                launch()
-            else:
-                env.call_later(verdict, launch, priority=EventPriority.HIGH)
-        return done
+    def _post_atomic(self, rkey: int, op: str, operand: int, expected: Optional[int]) -> Event:
+        """Hardware-side atomic flow; returns an event firing with the WC."""
+        return _Atomic(self, rkey, op, operand, expected).post()
 
     # ------------------------------------------------------------------
     # channel semantics (two-sided)

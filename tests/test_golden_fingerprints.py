@@ -16,6 +16,14 @@ balancer before its score cache replaced it. It pins the benchmark's
 dispatch path: three-level federation and e-RDMA-Sync's irq-pressure
 scoring, with per-shard pick counts.
 
+``GOLDEN_VERBS`` and ``GOLDEN_VERBS_CONGESTION`` pin the wire schedule
+of every one-sided verb path, captured on the per-post closure chains
+before the work-request objects replaced them: read, write, fetch-add
+and cmp-swap; every NAK kind; fault-plane NAKs; tenancy denial, rate
+delay and context-cache misses; traced reads and writes with their
+segment spans. The same script runs with the congestion plane off and
+on. ``wr_id`` is left out on purpose: it only names a request.
+
 The overhauled core must reproduce every value bit-for-bit. If a test
 here fails, the change under review broke same-seed reproducibility —
 do NOT re-capture the goldens to make it pass unless the change is an
@@ -42,7 +50,10 @@ import pytest
 from repro.api import ClusterBuilder
 from repro.config import SimConfig
 from repro.experiments.common import deploy_rubis_cluster
+from repro.faults import FaultPlane, parse_schedule
+from repro.hw.cluster import build_cluster
 from repro.sim.units import ms, seconds
+from repro.transport.verbs import AccessFlags, ProtectionDomain, connect_qp
 from repro.workloads.openloop import OpenLoopWorkload
 from repro.workloads.rubis import RubisWorkload
 
@@ -115,6 +126,121 @@ def fp_federation_3level(seed=13):
             tuple(app.balancer.shard_picks))
 
 
+def _verb_mr(node, name, nbytes, value, access):
+    region = node.memory.alloc(name, nbytes, value=value)
+    return ProtectionDomain.for_node(node).register(region, access)
+
+
+def _log_completions(events, log):
+    for ev in events:
+        ev.callbacks.append(lambda e: log.append(
+            (e.value.opcode, e.value.status.value, e.value.completed_at,
+             e.value.value, e.value.nbytes)))
+
+
+def fp_verbs(congestion, seed=21):
+    """Every one-sided verb path, on two small clusters.
+
+    The first has tracing and a fault plane: a burst of successes and
+    every NAK kind posted at once (so they queue on the DMA engines and
+    links), a traced read, write and NAK, the task-level entry points,
+    and a window of random fault-plane NAKs. The second has the tenancy
+    plane: a rate-policed tenant, a quarantined one, and the system
+    tenant walking more contexts than the NIC cache holds.
+    """
+    rd, wr, at = (AccessFlags.REMOTE_READ, AccessFlags.REMOTE_WRITE,
+                  AccessFlags.REMOTE_ATOMIC)
+    cfg = SimConfig(num_backends=2, master_seed=seed)
+    cfg.congestion.enabled = congestion
+    cfg.tracing.enabled = True
+    sim = build_cluster(cfg)
+    FaultPlane(sim, parse_schedule("from 2ms to 4ms verb-nak backend1 p=0.5")).install()
+    fe, (be0, be1) = sim.frontend, sim.backends
+    ro = _verb_mr(be0, "ro", 64, 7, rd)
+    rw = _verb_mr(be0, "rw", 64, "x", rd | wr)
+    ctr = _verb_mr(be0, "ctr", 8, 100, rd | at)
+    txt = _verb_mr(be0, "txt", 8, "not-an-int", at)
+    far = _verb_mr(be1, "far", 64, 3, rd | wr | at)
+    qp, _ = connect_qp(fe, be0)
+    qp1, _ = connect_qp(fe, be1)
+    log = []
+    _log_completions([
+        qp._post_read(ro.rkey, 64),
+        qp._post_write(rw.rkey, "y", 32),
+        qp._post_atomic(ctr.rkey, "fetch-add", 5, None),
+        qp._post_atomic(ctr.rkey, "cmp-swap", 999, 105),
+        qp._post_atomic(ctr.rkey, "cmp-swap", 1, 0),
+        qp._post_read(0xDEAD, 64),
+        qp._post_write(0xDEAD, "z", 8),
+        qp._post_atomic(0xDEAD, "fetch-add", 1, None),
+        qp._post_write(ro.rkey, "z", 8),
+        qp._post_read(txt.rkey, 8),
+        qp._post_atomic(rw.rkey, "fetch-add", 1, None),
+        qp._post_read(ro.rkey, 128),
+        qp._post_write(rw.rkey, "big", 4096),
+        qp._post_atomic(txt.rkey, "fetch-add", 1, None),
+    ], log)
+    root = sim.spans.start_trace("verbs", node=fe.name)
+    _log_completions([qp._post_read(rw.rkey, 64, ctx=root),
+                      qp._post_write(rw.rkey, "t", 16, ctx=root),
+                      qp._post_read(0xDEAD, 8, ctx=root)], log)
+
+    def body(k):
+        for wc_gen in (qp.rdma_read(k, rw.rkey, 64),
+                       qp.rdma_write(k, rw.rkey, "k", 64),
+                       qp.fetch_add(k, ctr.rkey, 3),
+                       qp.compare_swap(k, ctr.rkey, 1002, 0)):
+            wc = yield from wc_gen
+            log.append(("task", wc.opcode, wc.status.value, wc.completed_at,
+                        wc.value, wc.nbytes))
+
+    fe.spawn("verbs", body)
+    sim.run(ms(3))
+    _log_completions([qp1._post_read(far.rkey, 64) for _ in range(6)]
+                     + [qp1._post_write(far.rkey, "f", 64) for _ in range(3)]
+                     + [qp1._post_atomic(far.rkey, "fetch-add", 1, None)
+                        for _ in range(3)], log)
+    sim.run(ms(10))
+    sim.spans.end(root)
+    spans = tuple((s.name, s.start, s.end, s.status) for s in sim.spans.spans
+                  if s.name.startswith("rdma."))
+    plain = (tuple(log), sim.env.processed_events, spans,
+             (rw.region.read(), ctr.region.read(), far.region.read()))
+
+    cfg = SimConfig(num_backends=2, master_seed=seed)
+    cfg.congestion.enabled = congestion
+    cfg.tenancy.enabled = True
+    cfg.tenancy.icm_entries = 4
+    sim = build_cluster(cfg)
+    tenancy = sim.tenancy
+    slow = tenancy.create_tenant("slow", node=sim.clients, rate_bps=1_000_000)
+    evil = tenancy.create_tenant("evil", node=sim.frontend)
+    be0, be1 = sim.backends
+    mrs = [_verb_mr(be0, f"m{i}", 1024, i, rd | wr | at) for i in range(6)]
+    q_slow, _ = connect_qp(sim.clients, be0)
+    q_evil, _ = connect_qp(sim.frontend, be0)
+    q_sys, _ = connect_qp(be1, be0)
+    evil.quarantined = True
+    log = []
+    _log_completions([
+        q_slow._post_read(mrs[0].rkey, 1000),
+        q_slow._post_write(mrs[1].rkey, "w", 1000),
+        q_slow._post_atomic(mrs[2].rkey, "fetch-add", 1, None),
+        q_slow._post_atomic(mrs[2].rkey, "cmp-swap", 7, 3),
+        q_evil._post_read(mrs[0].rkey, 64),
+        q_evil._post_write(mrs[1].rkey, "e", 64),
+        q_evil._post_atomic(mrs[2].rkey, "fetch-add", 1, None),
+        *(q_sys._post_read(m.rkey, 64) for m in mrs),
+        q_sys._post_write(mrs[5].rkey, "s", 64),
+        q_sys._post_atomic(mrs[4].rkey, "fetch-add", 2, None),
+    ], log)
+    sim.run(ms(10))
+    tenanted = (tuple(log), sim.env.processed_events,
+                (slow.posted_ops, evil.denied_ops,
+                 tenancy.registry.system.icm_misses))
+    return plain, tenanted
+
+
 GOLDEN_SOCKET_SYNC = (1521, '2765277.1499013808', 26937012, ((0, 748), (1, 773)), 55365, (410128, 423628, 410128, 423628, 410128, 884311, 410128, 423628, 410128, 423628, 410128, 423628, 423628, 437128, 410128, 423628, 419969, 849142, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 410128, 423628, 782347, 786365, 410128, 423628, 410128, 429128, 410128, 1431400, 423628, 437128, 410128, 437128, 410128, 423628, 410128, 423628, 410128, 423628))
 
 GOLDEN_RDMA_SYNC = (1428, '3080267.3928571427', 30860358, ((0, 714), (1, 714)), 51442, (20007, 25007) * 25)
@@ -124,6 +250,10 @@ GOLDEN_OPENLOOP = (839, 104, 734, '2241292.220708447', ((0, 397), (1, 337)), 332
 GOLDEN_TRACED = (175, 8793, 342, 45, 170, (('lb.pick', 36629343, 36629343), ('dispatch', 36623193, 36642493), ('queue', 36629343, 36660157), ('web', 36666157, 38071132), ('db', 38071132, 40883583), ('respond', 40883583, 40897783), ('service', 36660157, 40897783), ('request', 36589379, 40941127), ('lb.pick', 70050012, 70050012), ('dispatch', 70043862, 70063162), ('queue', 70050012, 70080826), ('web', 70086826, 70658591), ('db', 70658591, 71135062), ('respond', 71135062, 71149262), ('service', 70080826, 71149262), ('request', 70010048, 71192606), ('lb.pick', 80690650, 80690650), ('dispatch', 80684500, 80703800), ('queue', 80690650, 80721464), ('web', 80727464, 81442074), ('db', 81442074, 82871295), ('respond', 82871295, 82885495), ('service', 80721464, 82885495), ('request', 80650686, 82928839), ('lb.pick', 89560416, 89560416), ('dispatch', 89554266, 89573566), ('queue', 89560416, 89591230), ('web', 89597230, 90179538), ('db', 90179538, 90662712), ('respond', 90662712, 90676912), ('service', 89591230, 90676912), ('request', 89520452, 90720256), ('rdma.read.post', 100040426, 100042926), ('rdma.read.at_target', 100042926, 100043686), ('rdma.read.post', 100041126, 100045426), ('rdma.read.at_target', 100045426, 100046186), ('rdma.read.dma', 100043686, 100046701), ('rdma.read.completion', 100046701, 100048089), ('rdma.read', 100040426, 100048089), ('rdma.read.dma', 100046186, 100049201)))
 
 GOLDEN_FEDERATION_3LEVEL = (2632, 205446, ((0, 42), (1, 33), (2, 42), (3, 47), (4, 43), (5, 45), (6, 40), (7, 36), (8, 50), (9, 32), (10, 44), (11, 45), (12, 40), (13, 36), (14, 39), (15, 42), (16, 50), (17, 33), (18, 36), (19, 46), (20, 44), (21, 33), (22, 40), (23, 41), (24, 47), (25, 50), (26, 49), (27, 41), (28, 48), (29, 51), (30, 42), (31, 42), (32, 36), (33, 42), (34, 37), (35, 42), (36, 37), (37, 35), (38, 41), (39, 41), (40, 41), (41, 39), (42, 46), (43, 28), (44, 44), (45, 42), (46, 38), (47, 51), (48, 39), (49, 32), (50, 38), (51, 43), (52, 38), (53, 37), (54, 35), (55, 39), (56, 36), (57, 43), (58, 38), (59, 46), (60, 50), (61, 40), (62, 49), (63, 40)), (160, 167, 175, 160, 165, 157, 186, 185, 157, 158, 152, 179, 153, 149, 164, 178))
+
+GOLDEN_VERBS = (((('read', 'invalid-rkey', 16520, None, 0), ('write', 'invalid-rkey', 19036, None, 0), ('write', 'remote-access-error', 24036, None, 0), ('read', 'remote-access-error', 26520, None, 0), ('read', 'length-error', 31520, None, 0), ('write', 'length-error', 42212, None, 0), ('read', 'invalid-rkey', 44020, None, 0), ('read', 'success', 45500, 7, 64), ('write', 'success', 46000, None, 32), ('fetch-add', 'success', 46500, 100, 8), ('cmp-swap', 'success', 47000, 105, 8), ('cmp-swap', 'success', 47500, 999, 8), ('fetch-add', 'invalid-rkey', 48000, None, 0), ('fetch-add', 'remote-access-error', 48500, None, 0), ('fetch-add', 'length-error', 49000, None, 0), ('read', 'success', 49500, 'y', 64), ('write', 'success', 51776, None, 16), ('task', 'read', 'success', 54919, 't', 64), ('task', 'write', 'success', 95375, None, 64), ('task', 'fetch-add', 'success', 106443, 999, 8), ('task', 'cmp-swap', 'success', 117511, 1002, 8), ('read', 'rnr-retry', 3009020, None, 0), ('read', 'rnr-retry', 3011520, None, 0), ('read', 'rnr-retry', 3016520, None, 0), ('write', 'rnr-retry', 3021648, None, 0), ('write', 'rnr-retry', 3024148, None, 0), ('read', 'success', 3030500, 3, 64), ('read', 'success', 3031000, 3, 64), ('read', 'success', 3031500, 3, 64), ('write', 'success', 3032000, None, 64), ('fetch-add', 'rnr-retry', 3032500, None, 0), ('fetch-add', 'rnr-retry', 3033000, None, 0), ('fetch-add', 'rnr-retry', 3033500, None, 0)), 239, (('rdma.read.post', 0, 37500, 'ok'), ('rdma.write.post', 0, 40000, 'ok'), ('rdma.read.at_target', 37500, 41528, 'ok'), ('rdma.write.at_target', 40000, 41574, 'ok'), ('rdma.read.post', 0, 42500, 'ok'), ('rdma.read.at_target', 42500, 43260, 'ok'), ('rdma.read.completion', 43260, 44020, 'error'), ('rdma.read', 0, 44020, 'error'), ('rdma.read.dma', 41528, 47513, 'ok'), ('rdma.read.completion', 47513, 49500, 'ok'), ('rdma.read', 0, 49500, 'ok'), ('rdma.write.dma', 41574, 50516, 'ok'), ('rdma.write.completion', 50516, 51776, 'ok'), ('rdma.write', 0, 51776, 'ok')), ('k', 0, 'f')), ((('read', 'tenant-denied', 1, None, 0), ('write', 'tenant-denied', 1, None, 0), ('fetch-add', 'tenant-denied', 1, None, 0), ('read', 'success', 15764, 0, 1000), ('read', 'success', 22500, 0, 64), ('read', 'success', 23922, 1, 64), ('read', 'success', 28937, 2, 64), ('read', 'success', 33952, 3, 64), ('read', 'success', 38967, 4, 64), ('read', 'success', 43982, 5, 64), ('write', 'success', 46869, None, 64), ('fetch-add', 'success', 49885, 4, 8), ('write', 'success', 1013764, None, 1000), ('fetch-add', 'success', 2011000, 2, 8), ('cmp-swap', 'success', 2015568, 3, 8)), 126, (4, 3, 7)))
+
+GOLDEN_VERBS_CONGESTION = (((('read', 'invalid-rkey', 16520, None, 0), ('write', 'invalid-rkey', 19036, None, 0), ('write', 'remote-access-error', 24036, None, 0), ('read', 'remote-access-error', 26520, None, 0), ('read', 'length-error', 31520, None, 0), ('write', 'length-error', 42212, None, 0), ('read', 'invalid-rkey', 44020, None, 0), ('read', 'success', 45500, 7, 64), ('write', 'success', 46000, None, 32), ('fetch-add', 'success', 46500, 100, 8), ('cmp-swap', 'success', 47000, 105, 8), ('cmp-swap', 'success', 47500, 999, 8), ('fetch-add', 'invalid-rkey', 48000, None, 0), ('fetch-add', 'remote-access-error', 48500, None, 0), ('fetch-add', 'length-error', 49000, None, 0), ('read', 'success', 49500, 'y', 64), ('write', 'success', 51776, None, 16), ('task', 'read', 'success', 54919, 't', 64), ('task', 'write', 'success', 95375, None, 64), ('task', 'fetch-add', 'success', 106443, 999, 8), ('task', 'cmp-swap', 'success', 117511, 1002, 8), ('read', 'rnr-retry', 3009020, None, 0), ('read', 'rnr-retry', 3011520, None, 0), ('read', 'rnr-retry', 3016520, None, 0), ('write', 'rnr-retry', 3021648, None, 0), ('write', 'rnr-retry', 3024148, None, 0), ('read', 'success', 3030500, 3, 64), ('read', 'success', 3031000, 3, 64), ('read', 'success', 3031500, 3, 64), ('write', 'success', 3032000, None, 64), ('fetch-add', 'rnr-retry', 3032500, None, 0), ('fetch-add', 'rnr-retry', 3033000, None, 0), ('fetch-add', 'rnr-retry', 3033500, None, 0)), 371, (('rdma.read.post', 0, 37500, 'ok'), ('rdma.write.post', 0, 40000, 'ok'), ('rdma.read.at_target', 37500, 41528, 'ok'), ('rdma.write.at_target', 40000, 41574, 'ok'), ('rdma.read.post', 0, 42500, 'ok'), ('rdma.read.at_target', 42500, 43260, 'ok'), ('rdma.read.completion', 43260, 44020, 'error'), ('rdma.read', 0, 44020, 'error'), ('rdma.read.dma', 41528, 47513, 'ok'), ('rdma.read.completion', 47513, 49500, 'ok'), ('rdma.read', 0, 49500, 'ok'), ('rdma.write.dma', 41574, 50516, 'ok'), ('rdma.write.completion', 50516, 51776, 'ok'), ('rdma.write', 0, 51776, 'ok')), ('k', 0, 'f')), ((('read', 'tenant-denied', 1, None, 0), ('write', 'tenant-denied', 1, None, 0), ('fetch-add', 'tenant-denied', 1, None, 0), ('read', 'success', 15764, 0, 1000), ('read', 'success', 22500, 0, 64), ('read', 'success', 23922, 1, 64), ('read', 'success', 28937, 2, 64), ('read', 'success', 33952, 3, 64), ('read', 'success', 38967, 4, 64), ('read', 'success', 43982, 5, 64), ('write', 'success', 46869, None, 64), ('fetch-add', 'success', 49885, 4, 8), ('write', 'success', 1013764, None, 1000), ('fetch-add', 'success', 2011000, 2, 8), ('cmp-swap', 'success', 2015568, 3, 8)), 174, (4, 3, 7)))
 
 GOLDEN_FEDERATION = (427, 26996, ((0, 34), (1, 32), (2, 26), (3, 24), (4, 28), (5, 28), (6, 27), (7, 21), (8, 24), (9, 29), (10, 23), (11, 33), (12, 28), (13, 17), (14, 25), (15, 28)))
 
@@ -164,3 +294,11 @@ def test_golden_federation(regen_goldens):
 
 def test_golden_federation_3level(regen_goldens):
     _check("GOLDEN_FEDERATION_3LEVEL", fp_federation_3level(), regen_goldens)
+
+
+def test_golden_verbs(regen_goldens):
+    _check("GOLDEN_VERBS", fp_verbs(congestion=False), regen_goldens)
+
+
+def test_golden_verbs_congestion(regen_goldens):
+    _check("GOLDEN_VERBS_CONGESTION", fp_verbs(congestion=True), regen_goldens)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import SimConfig
+from repro.hw.cluster import build_cluster
 from repro.sim.units import ms, us
 from repro.transport.verbs import (
     AccessFlags,
@@ -248,3 +250,25 @@ def test_channel_recv_interrupts_target_cpu(cluster2):
     cluster2.run(ms(10))
     after = sum(s.handled[IrqVector.CQ] for s in b.irq.percpu)
     assert after == before + 1
+
+
+def test_work_request_ids_are_numbered_per_qp():
+    """Two same-seed runs in one process complete identically, wr_id
+    included: ids count per QP from 1, not across the whole process."""
+
+    def run():
+        sim = build_cluster(SimConfig(num_backends=1, master_seed=3))
+        fe, be = sim.frontend, sim.backends[0]
+        mr = setup_mr(be, value=5, access=AccessFlags.REMOTE_READ | AccessFlags.REMOTE_WRITE
+                      | AccessFlags.REMOTE_ATOMIC)
+        qp, _ = connect_qp(fe, be)
+        other, _ = connect_qp(be, fe)
+        events = [qp._post_read(mr.rkey, 8), qp._post_write(mr.rkey, 6, 8),
+                  qp._post_atomic(mr.rkey, "fetch-add", 1, None),
+                  other._post_read(0xDEAD, 8)]
+        sim.run(ms(1))
+        return [ev.value for ev in events]
+
+    first, second = run(), run()
+    assert [wc.wr_id for wc in first] == [1, 2, 3, 1]
+    assert first == second
