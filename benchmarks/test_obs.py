@@ -13,8 +13,8 @@ headline properties:
   per-segment critical-path breakdown with a dominant segment.
 
 Emits ``results/BENCH_obs.json`` plus the job-report artifact pair
-(``results/job_report_rubis.json`` / ``.txt``) that the CI obs-smoke
-job uploads.
+(``results/job_report_rubis.json`` / ``.txt``) that the ``obs`` row of
+the CI ``planes`` job uploads.
 """
 
 import json

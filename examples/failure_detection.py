@@ -21,13 +21,13 @@ from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
 from repro.monitoring.heartbeat import HeartbeatMonitor
 from repro.sim.units import MILLISECOND, SECOND, fmt_time
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 
 
 def main() -> None:
     sim = build_cluster(SimConfig(num_backends=3))
     for be in sim.backends:
-        spawn_background_load(sim, be, 8)
+        create_workload("background", sim, node=be, threads=8)
     hb = HeartbeatMonitor(sim, interval=20 * MILLISECOND, hung_after=2)
 
     print("All nodes healthy; probing every 20 ms ...")

@@ -21,7 +21,7 @@ from repro.hw.cluster import build_cluster
 from repro.monitoring import create_scheme
 from repro.sim.units import MILLISECOND, SECOND
 from repro.transport.multicast import MulticastGroup
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 
 
 def main() -> None:
@@ -31,7 +31,7 @@ def main() -> None:
     cfg = SimConfig(num_backends=4)
     sim = build_cluster(cfg)
     for node in sim.backends[:2]:
-        spawn_background_load(sim, node, 12)
+        create_workload("background", sim, node=node, threads=12)
 
     channel = MulticastGroup("ganglia")
     gmonds = [Gmond(node, channel, interval=1 * SECOND) for node in sim.backends]

@@ -19,15 +19,16 @@ from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
 from repro.monitoring import create_scheme
 from repro.sim.units import MILLISECOND, SECOND
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 
 
 def main() -> None:
     cfg = SimConfig(num_backends=2)
     sim = build_cluster(cfg)
     target = sim.backends[0]
-    spawn_background_load(sim, target, threads=24, comm_fraction=0.6,
-                          message_interval=3 * MILLISECOND, burst=16)
+    create_workload("background", sim, node=target, threads=24,
+                    comm_fraction=0.6, message_interval=3 * MILLISECOND,
+                    burst=16)
 
     rdma = create_scheme("e-rdma-sync", sim, interval=5 * MILLISECOND)
     sock = create_scheme("socket-sync", sim, interval=5 * MILLISECOND,

@@ -16,7 +16,7 @@ from repro.monitoring import FrontendMonitor, create_scheme
 from repro.monitoring.registry import SCHEME_NAMES
 from repro.sim.units import MILLISECOND, SECOND, fmt_time, us
 from repro.transport.verbs import ProtectionDomain, connect_qp
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
 
     # Load the first back-end: 24 background threads, half of them
     # hammering the NIC (the paper's §5.1.1 setup).
-    spawn_background_load(sim, target, threads=24)
+    create_workload("background", sim, node=target, threads=24)
 
     # Deploy all five schemes concurrently, each polling every 50 ms.
     monitors = {}

@@ -20,8 +20,8 @@ Run:  python examples/request_autopsy.py [scheme] [seconds] [--out FILE]
 
 import sys
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.hw.node import KERN_LOAD_BYTES
 from repro.sim.units import MILLISECOND, SECOND
 from repro.tracing import (
@@ -46,8 +46,12 @@ def main() -> None:
             out_path = sys.argv[i + 1]
 
     cfg = SimConfig(num_backends=4)
-    app = deploy_rubis_cluster(cfg, scheme_name=scheme, workers=8,
-                               with_admission=True, with_tracing=True)
+    app = (ClusterBuilder(cfg)
+           .scheme(scheme)
+           .workers(8)
+           .with_admission()
+           .with_tracing()
+           .build())
     workload = RubisWorkload(app.sim, app.dispatcher, num_clients=24,
                              think_time=10 * MILLISECOND, burst_length=8)
     workload.start()

@@ -13,8 +13,8 @@ Run:  python examples/rubis_cluster.py [scheme] [seconds]
 import sys
 
 from repro.analysis.report import format_table
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import MILLISECOND, SECOND
 from repro.workloads.rubis import RUBIS_QUERIES, RubisWorkload
 
@@ -26,8 +26,10 @@ def main() -> None:
     cfg = SimConfig(num_backends=4)
     cfg.cpu.wake_preempt_margin = 8
     cfg.cpu.timeslice_ticks = 8
-    app = deploy_rubis_cluster(cfg, scheme_name=scheme,
-                               poll_interval=50 * MILLISECOND, workers=32)
+    app = (ClusterBuilder(cfg)
+           .scheme(scheme, interval=50 * MILLISECOND)
+           .workers(32)
+           .build())
     workload = RubisWorkload(app.sim, app.dispatcher, num_clients=96,
                              think_time=3 * MILLISECOND, demand_cv=0.4,
                              burst_length=10, idle_factor=8)

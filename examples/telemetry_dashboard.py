@@ -20,12 +20,12 @@ Run:  python examples/telemetry_dashboard.py [scheme] [seconds]
 
 import sys
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.monitoring.heartbeat import HeartbeatMonitor
 from repro.sim.units import MILLISECOND, SECOND, fmt_time
 from repro.telemetry.pipeline import default_rules
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 from repro.workloads.rubis import RubisWorkload
 
 
@@ -35,11 +35,12 @@ def main() -> None:
 
     cfg = SimConfig(num_backends=8)
     cfg.monitor.history_limit = 2048  # bounded front-end history
-    app = deploy_rubis_cluster(
-        cfg, scheme_name=scheme, poll_interval=50 * MILLISECOND, workers=16,
-        with_telemetry=True,
-        telemetry_rules=default_rules(overload_above=0.95, overload_clear=0.60),
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme(scheme, interval=50 * MILLISECOND)
+           .workers(16)
+           .with_telemetry(rules=default_rules(overload_above=0.95,
+                                               overload_clear=0.60))
+           .build())
     heartbeat = HeartbeatMonitor(app.sim, interval=50 * MILLISECOND)
     app.telemetry.attach_heartbeat(heartbeat)
 
@@ -58,7 +59,8 @@ def main() -> None:
     # heartbeat sees its tick counter freeze).
     print(f"t={fmt_time(app.sim.env.now)}: "
           "backend0 hit by a background-load storm, backend7 hangs ...")
-    spawn_background_load(app.sim, app.sim.backends[0], 24)
+    create_workload("background", app.sim, node=app.sim.backends[0],
+                    threads=24)
     app.sim.backends[7].fail("hung")
     app.run(duration_s * SECOND)
 

@@ -22,33 +22,65 @@ congestion-realistic fabric)::
 Each ``with_*`` method returns the builder, so a deployment reads as a
 single expression naming exactly the planes it enables; everything not
 named stays off and the run is byte-identical to the minimal stack
-(property-tested). ``build()`` may be called once; it returns the same
-:class:`~repro.experiments.common.RubisCluster` handle the legacy
-helper returned.
+(property-tested). A chain method that sets config knobs writes the
+builder's own copy of that section, so the caller's
+:class:`~repro.config.SimConfig` is never changed and can seed any
+number of clusters. ``build()`` may be called once; it returns a
+:class:`RubisCluster` handle.
 
-The legacy ``repro.experiments.common.deploy_rubis_cluster`` /
-``repro.federation.deploy_federation`` entry points remain as thin
-shims over this builder and produce fingerprint-identical clusters
-(also property-tested), but new code should use the builder.
+Background and tenant load is started through the workload registry:
+either chained (``.workload("background", node=0, threads=4)``) or,
+after the build, with :func:`repro.workloads.create_workload`.
+:func:`repro.federation.deploy_federation`, which ``build()`` calls for
+the federated fabric, also builds a bare fabric on a cluster with no
+application stack.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
 from difflib import get_close_matches
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.faults import FaultPlane, FaultSchedule, parse_schedule
-from repro.federation import deploy_federation
-from repro.hw.cluster import build_cluster
-from repro.monitoring import FrontendMonitor, create_scheme
+from repro.federation import Federation, deploy_federation
+from repro.hw.cluster import ClusterSim, build_cluster
+from repro.monitoring import FrontendMonitor, MonitoringScheme, create_scheme
 from repro.monitoring.heartbeat import HeartbeatMonitor
 from repro.server.admission import AdmissionController
 from repro.server.dispatcher import Dispatcher
 from repro.server.loadbalancer import LeastLoadedBalancer, TwoLevelBalancer
 from repro.server.webserver import BackendServer
+from repro.telemetry.pipeline import TelemetryPipeline
 
-__all__ = ["ClusterBuilder"]
+__all__ = ["ClusterBuilder", "RubisCluster"]
+
+
+@dataclass
+class RubisCluster:
+    """Handles for a deployed application cluster."""
+
+    sim: ClusterSim
+    servers: List[BackendServer]
+    scheme: MonitoringScheme
+    monitor: FrontendMonitor
+    balancer: LeastLoadedBalancer
+    dispatcher: Dispatcher
+    admission: Optional[AdmissionController] = None
+    telemetry: Optional[TelemetryPipeline] = None
+    faults: Optional[FaultPlane] = None
+    heartbeat: Optional[HeartbeatMonitor] = None
+    federation: Optional[Federation] = None
+    #: :class:`~repro.server.reconfig.ElasticScaler` when autoscaling is on
+    scaler: Optional[object] = None
+    #: workloads queued via ``ClusterBuilder.workload``, in chain order
+    workloads: List[object] = field(default_factory=list)
+    #: :class:`~repro.obs.surface.Observability` when the surface is on
+    obs: Optional[object] = None
+
+    def run(self, until: int) -> None:
+        self.sim.run(until)
 
 
 def _audit_kwargs(method: str, extra: dict, valid: Sequence[str]) -> None:
@@ -74,6 +106,8 @@ class ClusterBuilder:
 
     def __init__(self, cfg: Optional[SimConfig] = None) -> None:
         self._cfg = cfg if cfg is not None else SimConfig()
+        #: config sections this builder has copied before writing them
+        self._owned: set = set()
         self._scheme_name = "rdma-sync"
         self._interval: Optional[int] = None
         self._scheme_kwargs: dict = {}
@@ -90,6 +124,19 @@ class ClusterBuilder:
         self._heartbeat_hung_after = 2
         self._workloads: list = []
         self._built = False
+
+    def _section(self, name: str):
+        """Config section ``name``, copied on its first write.
+
+        The first copy also shallow-copies the :class:`SimConfig`, so
+        the caller's config and its sections are never written.
+        """
+        if name not in self._owned:
+            if not self._owned:
+                self._cfg = replace(self._cfg)
+            setattr(self._cfg, name, replace(getattr(self._cfg, name)))
+            self._owned.add(name)
+        return getattr(self._cfg, name)
 
     # -- knobs ----------------------------------------------------------
     def scheme(self, name: str, *, interval: Optional[int] = None,
@@ -134,8 +181,9 @@ class ClusterBuilder:
     def with_tracing(self, *, sample: float = 1.0, **extra) -> "ClusterBuilder":
         """Enable the causal span plane at head-sampling rate ``sample``."""
         _audit_kwargs("with_tracing", extra, ["sample"])
-        self._cfg.tracing.enabled = True
-        self._cfg.tracing.sample_rate = sample
+        tracing = self._section("tracing")
+        tracing.enabled = True
+        tracing.sample_rate = sample
         return self
 
     def with_faults(self, schedule) -> "ClusterBuilder":
@@ -172,7 +220,7 @@ class ClusterBuilder:
         config schema. ``enabled`` is implied — calling this method at
         all switches the plane on.
         """
-        cc = self._cfg.congestion
+        cc = self._section("congestion")
         cc.enabled = True
         for name, value in knobs.items():
             setattr(cc, name, value)
@@ -190,7 +238,7 @@ class ClusterBuilder:
         tenant verbs at post time. The built cluster's
         ``sim.tenancy`` handle carries the registry and defense loop.
         """
-        tn = self._cfg.tenancy
+        tn = self._section("tenancy")
         tn.enabled = True
         for name, value in knobs.items():
             setattr(tn, name, value)
@@ -211,7 +259,7 @@ class ClusterBuilder:
         ``/metrics`` server (when ``http=True``) and
         :meth:`~repro.obs.surface.Observability.job_report`.
         """
-        obs = self._cfg.obs
+        obs = self._section("obs")
         obs.enabled = True
         for name, value in knobs.items():
             setattr(obs, name, value)
@@ -231,7 +279,7 @@ class ClusterBuilder:
         otherwise). The built cluster's ``scaler`` handle carries the
         scale-event log and load samples.
         """
-        sc = self._cfg.scaler
+        sc = self._section("scaler")
         sc.enabled = True
         for name, value in knobs.items():
             setattr(sc, name, value)
@@ -276,7 +324,7 @@ class ClusterBuilder:
         _audit_kwargs("with_federation", extra,
                       ["num_shards", "leaf_interval", "root_interval",
                        "levels", "num_regions", "region_interval"])
-        fed = self._cfg.federation
+        fed = self._section("federation")
         fed.enabled = True
         fed.num_shards = num_shards
         fed.leaf_interval = leaf_interval
@@ -292,10 +340,6 @@ class ClusterBuilder:
         if self._built:
             raise RuntimeError("ClusterBuilder.build() may only be called once")
         self._built = True
-        # Deferred: common.py's legacy shim imports this module.
-        from repro.experiments.common import RubisCluster
-        from repro.telemetry.pipeline import TelemetryPipeline
-
         cfg = self._cfg
         if cfg.obs.enabled:
             # The exposition's richest source; attaching it is free in

@@ -14,7 +14,7 @@ fig9_finegrained    Fig 9 — fine vs coarse granularity throughput
 =================== ================================================
 """
 
-from repro.experiments.common import ExperimentResult, RubisCluster, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.experiments import (
     ablations,
     capacity,
@@ -35,8 +35,6 @@ from repro.experiments import (
 
 __all__ = [
     "ExperimentResult",
-    "RubisCluster",
-    "deploy_rubis_cluster",
     "fig3_latency",
     "fig4_granularity",
     "fig5_accuracy",

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.hw.cluster import build_cluster
 from repro.monitoring import create_scheme
 from repro.monitoring.loadinfo import LoadCalculator
 from repro.sim.units import MILLISECOND, SECOND
 from repro.transport.multicast import MulticastGroup
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 from repro.workloads.floatapp import FloatApp
 from repro.workloads.rubis import RubisWorkload
 
@@ -40,8 +41,9 @@ def run_irq_affinity(duration: int = 4 * SECOND) -> ExperimentResult:
         cfg.irq.nic_irq_affinity = affinity
         sim = build_cluster(cfg)
         target = sim.backends[0]
-        spawn_background_load(sim, target, 16, comm_fraction=1.0,
-                              message_interval=3 * MILLISECOND, burst=16)
+        create_workload("background", sim, node=target, threads=16,
+                        comm_fraction=1.0, message_interval=3 * MILLISECOND,
+                        burst=16)
         scheme = create_scheme("e-rdma-sync", sim, interval=5 * MILLISECOND)
         samples = []
 
@@ -83,7 +85,8 @@ def run_scheduler_wakeups(duration: int = 3 * SECOND) -> ExperimentResult:
             setattr(cfg.cpu, key, value)
         sim = build_cluster(cfg)
         target = sim.backends[0]
-        spawn_background_load(sim, target, 32, comm_fraction=0.5)
+        create_workload("background", sim, node=target, threads=32,
+                        comm_fraction=0.5)
         scheme = create_scheme("socket-sync", sim, interval=10 * MILLISECOND)
 
         def poller(k, scheme=scheme):
@@ -182,19 +185,22 @@ def run_admission_goodput(
     early during overload converts would-be timeouts into fast errors;
     its quality depends on the monitored load being current.
     """
+    def stack(cfg):
+        return (ClusterBuilder(cfg)
+                .scheme("rdma-sync", interval=50 * MILLISECOND)
+                .workers(24))
+
     variants = [
-        ("no-admission", dict(with_admission=False)),
-        ("admission", dict(with_admission=True, admission_max_score=0.65)),
+        ("no-admission", stack),
+        ("admission", lambda cfg: stack(cfg).with_admission(max_score=0.65)),
     ]
     result = ExperimentResult(name="ablation-admission", xs=[n for n, _ in variants])
     goodput, timeout_rate, rejected = [], [], []
-    for _name, overrides in variants:
+    for _name, builder in variants:
         cfg = SimConfig(num_backends=2)
         cfg.cpu.wake_preempt_margin = 8
         cfg.cpu.timeslice_ticks = 8
-        app = deploy_rubis_cluster(cfg, scheme_name="rdma-sync",
-                                   poll_interval=50 * MILLISECOND,
-                                   workers=24, **overrides)
+        app = builder(cfg).build()
         wl = RubisWorkload(app.sim, app.dispatcher, num_clients=96,
                            think_time=1 * MILLISECOND, demand_cv=0.4,
                            burst_length=10, idle_factor=4,
@@ -240,8 +246,10 @@ def run_lb_weights(
         cfg = SimConfig(num_backends=4)
         cfg.cpu.wake_preempt_margin = 8
         cfg.cpu.timeslice_ticks = 8
-        app = deploy_rubis_cluster(cfg, scheme_name="rdma-sync",
-                                   poll_interval=50 * MILLISECOND, workers=24)
+        app = (ClusterBuilder(cfg)
+               .scheme("rdma-sync", interval=50 * MILLISECOND)
+               .workers(24)
+               .build())
         for key, value in overrides.items():
             setattr(app.balancer.weights, key, value)
         wl = RubisWorkload(app.sim, app.dispatcher, num_clients=64,

@@ -14,8 +14,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.sim.units import MILLISECOND, SECOND
 from repro.workloads.openloop import OpenLoopWorkload
 
@@ -40,9 +41,10 @@ def run_one(
     cfg = SimConfig(num_backends=params["num_backends"])
     cfg.cpu.wake_preempt_margin = 8
     cfg.cpu.timeslice_ticks = 8
-    app = deploy_rubis_cluster(cfg, scheme_name=scheme_name,
-                               poll_interval=poll_interval,
-                               workers=params["workers"])
+    app = (ClusterBuilder(cfg)
+           .scheme(scheme_name, interval=poll_interval)
+           .workers(params["workers"])
+           .build())
     wl = OpenLoopWorkload(app.sim, app.dispatcher, rate_rps=rate_rps,
                           deadline=params["deadline"],
                           injectors=params["injectors"])

@@ -1,29 +1,13 @@
-"""Shared experiment plumbing.
+"""Shared experiment plumbing: the structured result every experiment returns.
 
-``deploy_rubis_cluster`` assembles the full application stack the
-application-level experiments (Table 1, Figs 7–9) share: a booted
-cluster, back-end web servers, a monitoring scheme with its front-end
-poller, the WebSphere-style balancer (extended scoring iff the scheme is
-e-RDMA-Sync), optional admission control, and the dispatcher. Workloads
-are attached by the individual experiments.
+The application stack the application-level experiments (Table 1,
+Figs 7–9) share is built with :class:`repro.api.ClusterBuilder`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.config import SimConfig
-from repro.faults import FaultPlane, FaultSchedule
-from repro.federation import Federation
-from repro.hw.cluster import ClusterSim
-from repro.monitoring import FrontendMonitor, MonitoringScheme
-from repro.monitoring.heartbeat import HeartbeatMonitor
-from repro.server.admission import AdmissionController
-from repro.server.dispatcher import Dispatcher
-from repro.server.loadbalancer import LeastLoadedBalancer
-from repro.server.webserver import BackendServer
-from repro.telemetry.pipeline import TelemetryPipeline
+from typing import Dict, List
 
 
 @dataclass
@@ -42,106 +26,3 @@ class ExperimentResult:
 
     def series_of(self, name: str) -> List[float]:
         return self.series[name]
-
-
-@dataclass
-class RubisCluster:
-    """Handles for a deployed application cluster."""
-
-    sim: ClusterSim
-    servers: List[BackendServer]
-    scheme: MonitoringScheme
-    monitor: FrontendMonitor
-    balancer: LeastLoadedBalancer
-    dispatcher: Dispatcher
-    admission: Optional[AdmissionController] = None
-    telemetry: Optional[TelemetryPipeline] = None
-    faults: Optional[FaultPlane] = None
-    heartbeat: Optional[HeartbeatMonitor] = None
-    federation: Optional[Federation] = None
-    #: :class:`~repro.server.reconfig.ElasticScaler` when autoscaling is on
-    scaler: Optional[object] = None
-    #: workloads queued via ``ClusterBuilder.workload``, in chain order
-    workloads: List[object] = field(default_factory=list)
-    #: :class:`~repro.obs.surface.Observability` when the surface is on
-    obs: Optional[object] = None
-
-    def run(self, until: int) -> None:
-        self.sim.run(until)
-
-
-def deploy_rubis_cluster(
-    cfg: Optional[SimConfig] = None,
-    scheme_name: str = "rdma-sync",
-    poll_interval: Optional[int] = None,
-    with_admission: bool = False,
-    admission_max_score: float = 0.85,
-    workers: Optional[int] = None,
-    with_telemetry: bool = False,
-    telemetry_rules=None,
-    alert_shedding: bool = False,
-    with_tracing: bool = False,
-    trace_sample: float = 1.0,
-    fault_schedule=None,
-    with_heartbeat: bool = False,
-    heartbeat_interval: int = 50_000_000,
-    heartbeat_timeout: int = 10_000_000,
-    heartbeat_hung_after: int = 2,
-) -> RubisCluster:
-    """Build the standard application stack on a fresh cluster.
-
-    ``with_telemetry`` attaches a bounded
-    :class:`~repro.telemetry.pipeline.TelemetryPipeline` to the monitor
-    (front-end only — no simulated-time cost). ``alert_shedding``
-    additionally lets the dispatcher route around critically-alerted
-    back-ends (opt-in policy; implies telemetry); combine it with
-    ``with_admission=True`` to also have the admission controller
-    reject while most back-ends are shedding.
-
-    ``with_tracing`` enables the causal span plane (see repro.tracing) at
-    head-sampling rate ``trace_sample`` — like telemetry, pure observer
-    bookkeeping with zero simulated-time cost.
-
-    ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`, schedule
-    text for :func:`~repro.faults.parse_schedule`, or None) installs the
-    deterministic fault plane; an empty/None schedule leaves runs
-    bit-identical. ``with_heartbeat`` additionally runs the RDMA
-    :class:`~repro.monitoring.heartbeat.HeartbeatMonitor` and gives the
-    dispatcher health-aware failover (quarantine + re-admit on
-    recovery).
-
-    When ``cfg.federation.enabled`` the two-level monitoring fabric is
-    deployed (see :mod:`repro.federation`): the flat front-end poller is
-    built but left idle, the dispatcher consults the federated root's
-    merged view, and routing goes through the shard-then-node
-    :class:`~repro.server.loadbalancer.TwoLevelBalancer`.
-
-    .. deprecated::
-        This helper is a compatibility shim over
-        :class:`repro.api.ClusterBuilder`, which new code should use
-        directly. The two produce fingerprint-identical clusters
-        (property-tested).
-    """
-    from repro.api import ClusterBuilder  # deferred: api imports this module
-
-    builder = ClusterBuilder(cfg)
-    builder.scheme(scheme_name, interval=poll_interval)
-    if workers is not None:
-        builder.workers(workers)
-    if with_admission:
-        builder.with_admission(max_score=admission_max_score)
-    if with_telemetry or alert_shedding:
-        builder.with_telemetry(rules=telemetry_rules)
-    if alert_shedding:
-        builder.with_alert_shedding()
-    if with_tracing:
-        builder.with_tracing(sample=trace_sample)
-    if fault_schedule is not None:
-        if not isinstance(fault_schedule, (str, FaultSchedule)):
-            raise TypeError("fault_schedule must be FaultSchedule, str or None")
-        builder.with_faults(fault_schedule)
-    if with_heartbeat:
-        builder.with_heartbeat(interval=heartbeat_interval,
-                               timeout=heartbeat_timeout,
-                               hung_after=heartbeat_hung_after)
-    return builder.build()

@@ -4,8 +4,8 @@ The federation root is a built-in incast: every root period, N leaf
 snapshot reads converge on one front-end port. On a quiet fabric that
 is harmless (the reads are small and the switch is non-blocking), but
 production fabrics are *shared* — here a set of open-loop tenant flows
-(:func:`~repro.workloads.background.spawn_incast_tenants`) blasts the
-same port with one-sided writes at an offered load proportional to N.
+(the ``"incast"`` workload of :mod:`repro.workloads`) blasts the same
+port with one-sided writes at an offered load proportional to N.
 
 Three arms per cluster size:
 
@@ -31,13 +31,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.stats import mean, percentile
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.federation import deploy_federation
 from repro.hw.cluster import build_cluster
 from repro.monitoring.registry import SCHEME_NAMES
 from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
-from repro.workloads.background import spawn_incast_tenants
+from repro.workloads import create_workload
 from repro.workloads.rubis import RubisWorkload
 
 DEFAULT_SIZES: Sequence[int] = (4, 8, 16)
@@ -99,8 +100,8 @@ def run_incast(
     cfg = _arm_config(n, arm, interval, monitor_priority=monitor_priority)
     sim = build_cluster(cfg)
     fed = deploy_federation(sim)
-    spawn_incast_tenants(
-        sim, sim.frontend, sim.backends,
+    create_workload(
+        "incast", sim, target=sim.frontend, sources=sim.backends,
         flows_per_source=flows_per_source,
         message_bytes=TENANT_BYTES, interval=TENANT_INTERVAL,
     )
@@ -216,14 +217,13 @@ def run_one_scheme(
         cfg.federation.enabled = True
         cfg.federation.leaf_interval = poll_interval
         cfg.federation.root_interval = poll_interval
-    app = deploy_rubis_cluster(
-        cfg,
-        scheme_name="rdma-sync" if federated else scheme_name,
-        poll_interval=poll_interval,
-        workers=workers,
-    )
-    spawn_incast_tenants(
-        app.sim, app.sim.frontend, app.sim.backends,
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync" if federated else scheme_name,
+                   interval=poll_interval)
+           .workers(workers)
+           .build())
+    create_workload(
+        "incast", app.sim, target=app.sim.frontend, sources=app.sim.backends,
         flows_per_source=tenant_flows_per_source,
         message_bytes=TENANT_BYTES, interval=TENANT_INTERVAL,
     )

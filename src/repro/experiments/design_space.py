@@ -24,7 +24,7 @@ from repro.hw.cluster import build_cluster
 from repro.monitoring import FrontendMonitor, create_scheme
 from repro.monitoring.registry import ALL_SCHEME_NAMES
 from repro.sim.units import MILLISECOND, SECOND
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 from repro.workloads.floatapp import FloatApp
 
 
@@ -55,7 +55,7 @@ def run(
         sim.run(duration)
         idle_lat = mean(scheme.latencies())
         idle_count = len(scheme.records)
-        spawn_background_load(sim, sim.backends[0], load_threads)
+        create_workload("background", sim, node=0, threads=load_threads)
         sim.run(duration * 2)
         loaded = [r.latency for r in scheme.records[idle_count:]]
         series["idle_latency_us"].append(idle_lat / 1000.0)

@@ -20,7 +20,7 @@ from repro.experiments.common import ExperimentResult
 from repro.hw.cluster import build_cluster
 from repro.monitoring.registry import CORE_SCHEME_NAMES, create_scheme
 from repro.sim.units import MILLISECOND, SECOND
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 
 #: background thread counts swept on the x axis
 DEFAULT_THREADS: Sequence[int] = (0, 8, 16, 32, 48, 64)
@@ -38,7 +38,8 @@ def measure_latency(
     cfg = cfg if cfg is not None else SimConfig(num_backends=2)
     sim = build_cluster(cfg)
     target = sim.backends[0]
-    spawn_background_load(sim, target, background_threads)
+    create_workload("background", sim, node=target,
+                    threads=background_threads)
     scheme = create_scheme(scheme_name, sim, interval=poll_interval)
     # Let the background load and (for async schemes) the first buffer
     # update settle before measuring.

@@ -18,7 +18,7 @@ from repro.experiments.common import ExperimentResult
 from repro.hw.cluster import build_cluster
 from repro.monitoring.registry import CORE_SCHEME_NAMES, create_scheme
 from repro.sim.units import MILLISECOND, SECOND
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 
 
 def run(
@@ -35,8 +35,9 @@ def run(
     # of NIC interrupts pile softirq work past the inline budget, and
     # the starved (nice +19) ksoftirqd leaves a persistent bottom-half
     # backlog that only an asynchronous DMA sampler reliably observes.
-    spawn_background_load(sim, target, comm_threads, comm_fraction=0.6,
-                          message_interval=3 * MILLISECOND, burst=16)
+    create_workload("background", sim, node=target, threads=comm_threads,
+                    comm_fraction=0.6, message_interval=3 * MILLISECOND,
+                    burst=16)
 
     deployed = {
         name: create_scheme(name, sim, interval=poll_interval, with_irq_detail=True)

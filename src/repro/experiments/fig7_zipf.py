@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.monitoring.registry import SCHEME_NAMES
 from repro.sim.units import MILLISECOND, SECOND
 from repro.workloads.rubis import RubisWorkload
@@ -43,10 +44,10 @@ def run_one(
     cfg = SimConfig(num_backends=params["num_backends"])
     cfg.cpu.wake_preempt_margin = 8
     cfg.cpu.timeslice_ticks = 8
-    app = deploy_rubis_cluster(
-        cfg, scheme_name=scheme_name, poll_interval=poll_interval,
-        workers=params["workers"],
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme(scheme_name, interval=poll_interval)
+           .workers(params["workers"])
+           .build())
     rubis = RubisWorkload(
         app.sim, app.dispatcher,
         num_clients=params["rubis_clients"],

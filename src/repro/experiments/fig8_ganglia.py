@@ -23,8 +23,9 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.ganglia.gmetric import Gmetric
 from repro.ganglia.gmond import Gmond
 from repro.monitoring.registry import CORE_SCHEME_NAMES, create_scheme
@@ -60,10 +61,10 @@ def run_one(
     cfg.cpu.timeslice_ticks = 8
     # RUBiS is balanced with e-RDMA-Sync (the Table 1 winner), as in the
     # paper; gmetric's *collection* scheme is the variable.
-    app = deploy_rubis_cluster(
-        cfg, scheme_name="e-rdma-sync", poll_interval=50 * MILLISECOND,
-        workers=params["workers"],
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme("e-rdma-sync", interval=50 * MILLISECOND)
+           .workers(params["workers"])
+           .build())
     channel = MulticastGroup("ganglia")
     gmonds = [Gmond(node, channel, interval=1 * SECOND) for node in app.sim.backends]
     collector = create_scheme(gmetric_scheme, app.sim, interval=granularity)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.monitoring.registry import CORE_SCHEME_NAMES
 from repro.sim.units import MILLISECOND, SECOND
 from repro.workloads.rubis import RubisWorkload
@@ -51,10 +52,12 @@ def run_one(
     cfg = SimConfig(num_backends=params["num_backends"])
     cfg.cpu.wake_preempt_margin = 8
     cfg.cpu.timeslice_ticks = 8
-    app = deploy_rubis_cluster(
-        cfg, scheme_name=scheme_name, poll_interval=granularity,
-        workers=params["workers"], with_admission=with_admission,
-    )
+    builder = (ClusterBuilder(cfg)
+               .scheme(scheme_name, interval=granularity)
+               .workers(params["workers"]))
+    if with_admission:
+        builder.with_admission()
+    app = builder.build()
     rubis = RubisWorkload(
         app.sim, app.dispatcher,
         num_clients=params["rubis_clients"],

@@ -38,7 +38,7 @@ from repro.monitoring import create_scheme
 from repro.monitoring.loadinfo import LoadCalculator
 from repro.sim.units import MILLISECOND, SECOND
 from repro.transport.multicast import MulticastGroup
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 
 DEFAULT_SIZES: Sequence[int] = (2, 4, 8, 16, 32, 64)
 
@@ -92,7 +92,8 @@ def run(
         # -- socket polling ------------------------------------------------
         sim = build_cluster(SimConfig(num_backends=n))
         for be in sim.backends:
-            spawn_background_load(sim, be, background_threads)
+            create_workload("background", sim, node=be,
+                            threads=background_threads)
         scheme = create_scheme("socket-sync", sim, interval=interval)
         series["socket_round_us"].append(
             _measure_poll_round(sim, scheme, interval, duration) / 1000.0)
@@ -106,7 +107,8 @@ def run(
         # -- RDMA polling ----------------------------------------------------
         sim = build_cluster(SimConfig(num_backends=n))
         for be in sim.backends:
-            spawn_background_load(sim, be, background_threads)
+            create_workload("background", sim, node=be,
+                            threads=background_threads)
         scheme = create_scheme("rdma-sync", sim, interval=interval)
         series["rdma_round_us"].append(
             _measure_poll_round(sim, scheme, interval, duration) / 1000.0)
@@ -115,7 +117,8 @@ def run(
         # -- multicast push ----------------------------------------------------
         sim = build_cluster(SimConfig(num_backends=n))
         for be in sim.backends:
-            spawn_background_load(sim, be, background_threads)
+            create_workload("background", sim, node=be,
+                            threads=background_threads)
         channel = MulticastGroup("status")
         channel.subscribe(sim.frontend)
         arrivals: List[int] = []
@@ -163,7 +166,8 @@ def run(
         fcfg.federation.root_interval = interval
         sim = build_cluster(fcfg)
         for be in sim.backends:
-            spawn_background_load(sim, be, background_threads)
+            create_workload("background", sim, node=be,
+                            threads=background_threads)
         fed = deploy_federation(sim)
         sim.run(duration)
         leaf_rounds = [r for leaf in fed.leaves for r in leaf.rounds]
@@ -177,7 +181,8 @@ def run(
         # -- gmetad over gmond (hierarchical Ganglia) ----------------------
         sim = build_cluster(SimConfig(num_backends=n))
         for be in sim.backends:
-            spawn_background_load(sim, be, background_threads)
+            create_workload("background", sim, node=be,
+                            threads=background_threads)
         channel = MulticastGroup("ganglia")
         # gmonds announce at 10x the poll period: Ganglia's coarse
         # granularity, and it bounds the O(N^2) announce/listen traffic.

@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.stats import summarize
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.monitoring.registry import SCHEME_NAMES
 from repro.sim.units import MILLISECOND, SECOND
 from repro.workloads.rubis import RUBIS_QUERIES, RubisWorkload
@@ -44,10 +45,10 @@ def run_one_scheme(
     cfg = SimConfig(num_backends=params["num_backends"])
     cfg.cpu.wake_preempt_margin = 8
     cfg.cpu.timeslice_ticks = 8
-    app = deploy_rubis_cluster(
-        cfg, scheme_name=scheme_name, poll_interval=poll_interval,
-        workers=params["workers"],
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme(scheme_name, interval=poll_interval)
+           .workers(params["workers"])
+           .build())
     workload = RubisWorkload(
         app.sim, app.dispatcher,
         num_clients=params["num_clients"],

@@ -23,8 +23,9 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Sequence
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.sim.units import MILLISECOND, SECOND
 from repro.workloads.rubis import RubisWorkload
 
@@ -50,10 +51,12 @@ def run_one(
     cfg = SimConfig(num_backends=params["num_backends"], master_seed=seed)
     cfg.cpu.wake_preempt_margin = 8
     cfg.cpu.timeslice_ticks = 8
-    app = deploy_rubis_cluster(
-        cfg, scheme_name=scheme_name, poll_interval=poll_interval,
-        workers=params["workers"], with_telemetry=with_telemetry,
-    )
+    builder = (ClusterBuilder(cfg)
+               .scheme(scheme_name, interval=poll_interval)
+               .workers(params["workers"]))
+    if with_telemetry:
+        builder.with_telemetry()
+    app = builder.build()
     workload = RubisWorkload(
         app.sim, app.dispatcher, num_clients=params["clients"],
         think_time=params["think_time"], demand_cv=params["demand_cv"],

@@ -40,11 +40,7 @@ from repro.hw.cluster import build_cluster
 from repro.monitoring.frontend import FrontendMonitor
 from repro.monitoring.registry import ALL_SCHEME_NAMES, create_scheme
 from repro.sim.units import MICROSECOND, MILLISECOND
-from repro.workloads.tenants import (
-    spawn_cache_thrash_walker,
-    spawn_qp_churn_flood,
-    spawn_read_blaster,
-)
+from repro.workloads import create_workload
 
 #: attack arm -> spawner; ``none`` is the clean baseline
 ATTACKS: Sequence[str] = ("none", "qp-exhaust", "cache-thrash", "bandwidth-hog")
@@ -69,15 +65,16 @@ def _spawn_attack(sim, attack: str, start_after: int) -> None:
     if attack == "none":
         return
     if attack == "qp-exhaust":
-        spawn_qp_churn_flood(sim, src, target, start_after=start_after)
+        create_workload("qp-churn", sim, src=src, target=target,
+                        start_after=start_after)
     elif attack == "cache-thrash":
-        spawn_cache_thrash_walker(sim, src, target, regions=128,
-                                  interval=20 * MICROSECOND,
-                                  start_after=start_after)
+        create_workload("cache-thrash", sim, src=src, target=target,
+                        regions=128, interval=20 * MICROSECOND,
+                        start_after=start_after)
     elif attack == "bandwidth-hog":
-        spawn_read_blaster(sim, src, target, message_bytes=65536,
-                           interval=50 * MICROSECOND, flows=2,
-                           start_after=start_after)
+        create_workload("read-blaster", sim, src=src, target=target,
+                        message_bytes=65536, interval=50 * MICROSECOND,
+                        flows=2, start_after=start_after)
     else:
         raise ValueError(f"unknown attack {attack!r}; choose from {ATTACKS}")
 

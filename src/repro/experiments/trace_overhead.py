@@ -25,8 +25,9 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Sequence
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.sim.units import MILLISECOND, SECOND
 from repro.tracing import chrome_trace_json
 from repro.workloads.rubis import RubisWorkload
@@ -58,11 +59,12 @@ def run_one(
     cfg.cpu.timeslice_ticks = 8
     if max_spans is not None:
         cfg.tracing.max_spans = max_spans
-    app = deploy_rubis_cluster(
-        cfg, scheme_name=scheme_name, poll_interval=poll_interval,
-        workers=params["workers"], with_tracing=with_tracing,
-        trace_sample=trace_sample,
-    )
+    builder = (ClusterBuilder(cfg)
+               .scheme(scheme_name, interval=poll_interval)
+               .workers(params["workers"]))
+    if with_tracing:
+        builder.with_tracing(sample=trace_sample)
+    app = builder.build()
     workload = RubisWorkload(
         app.sim, app.dispatcher, num_clients=params["clients"],
         think_time=params["think_time"], demand_cv=params["demand_cv"],

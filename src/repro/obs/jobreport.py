@@ -119,7 +119,7 @@ def build_job_report(cluster, job: str = "rubis",
                      stats=None) -> JobReport:
     """Join traces, telemetry and request stats into one report.
 
-    ``cluster`` is a :class:`~repro.experiments.common.RubisCluster`;
+    ``cluster`` is a :class:`~repro.api.RubisCluster`;
     ``stats`` defaults to the dispatcher's request log. Classes with no
     sampled traces still report response-time statistics — the
     critical-path block just records zero traces (tracing off, or head

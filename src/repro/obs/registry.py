@@ -15,8 +15,8 @@ for summaries). Entity identity goes in labels — ``backend="3"``,
 ``shard="1"``, ``port="2"``, ``node="backend5"`` — never in the metric
 name, so dashboards aggregate across entities with plain label
 matchers. :meth:`MetricsRegistry.from_cluster` knows every plane the
-:class:`~repro.experiments.common.RubisCluster` handle can carry and
-registers a collector for each one present.
+:class:`~repro.api.RubisCluster` handle can carry and registers a
+collector for each one present.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class MetricsRegistry:
                      ) -> "MetricsRegistry":
         """Register a collector for every plane the cluster carries.
 
-        ``cluster`` is a :class:`~repro.experiments.common.RubisCluster`
+        ``cluster`` is a :class:`~repro.api.RubisCluster`
         (or anything duck-typed like one). Planes that are absent
         (``None``) are skipped, so the exposition names only what the
         deployment actually enabled.

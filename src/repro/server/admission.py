@@ -47,7 +47,7 @@ class AdmissionController:
         self.rejected = 0
         #: rejections attributed to active alerts (subset of ``rejected``)
         self.shed_by_alert = 0
-        #: span tracer + node label (wired by deploy_rubis_cluster)
+        #: span tracer + node label (wired by ClusterBuilder.build())
         self.tracer = None
         self.trace_node = ""
 

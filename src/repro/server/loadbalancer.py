@@ -95,7 +95,7 @@ class LeastLoadedBalancer:
         #: per-backend in-flight counter maintained by the dispatcher as a
         #: fallback signal before the first monitoring report arrives
         self.assigned: List[int] = [0] * num_backends
-        #: span tracer + node label, wired by deploy_rubis_cluster; the
+        #: span tracer + node label, wired by ClusterBuilder.build(); the
         #: dispatcher hands us the request via set_request so the pick
         #: decision can be recorded under the request's trace
         self.tracer = None

@@ -1,19 +1,12 @@
 """Workload generators: RUBiS, Zipf, traces, background and tenant load.
 
-Every generator is reachable two ways:
-
-* **The registry** (the supported surface): each workload is described
-  by a :class:`WorkloadSpec` and instantiated by name through
-  :func:`create_workload` — or, one level up, through
-  ``ClusterBuilder.workload(name, **kwargs)``, which starts it as part
-  of ``build()``. Keyword arguments are schema-audited with
-  did-you-mean hints, node-valued parameters accept either a
-  :class:`~repro.hw.node.Node` or a back-end index, and unknown
-  workload names raise with a suggestion.
-* **The legacy ``spawn_*`` helpers**, kept as thin shims over the
-  registry. They produce fingerprint-identical runs to their
-  pre-registry behaviour (property-tested, like the
-  ``deploy_rubis_cluster`` shim over the builder).
+Every generator is a registry entry: a :class:`WorkloadSpec`
+instantiated by name through :func:`create_workload` — or, one level
+up, through ``ClusterBuilder.workload(name, **kwargs)``, which starts it
+as part of ``build()``. Keyword arguments are schema-audited with
+did-you-mean hints, node-valued parameters accept either a
+:class:`~repro.hw.node.Node` or a back-end index, and unknown workload
+names raise with a suggestion.
 """
 
 from __future__ import annotations
@@ -24,17 +17,10 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from repro.workloads.rubis import RUBIS_QUERIES, RubisWorkload, QueryClass
 from repro.workloads.zipf import ZipfWorkload, zipf_weights
-from repro.workloads.background import (
-    spawn_background_load,
-    _spawn_background_load,
-)
+from repro.workloads.background import _spawn_background_load
 from repro.workloads.floatapp import FloatApp
 from repro.workloads.openloop import OpenLoopWorkload
 from repro.workloads.tenants import (
-    spawn_cache_thrash_walker,
-    spawn_incast_tenants,
-    spawn_qp_churn_flood,
-    spawn_read_blaster,
     _spawn_cache_thrash_walker,
     _spawn_incast_tenants,
     _spawn_qp_churn_flood,
@@ -129,22 +115,26 @@ def _audit_workload_kwargs(spec: WorkloadSpec, kwargs: dict) -> None:
             f"{', '.join(missing)}")
 
 
-def _resolve_node(sim: "ClusterSim", value):
+def _resolve_node(sim: "ClusterSim", value, param: str):
     """Node-valued parameters accept a Node or a back-end index."""
-    if isinstance(value, int):
-        return sim.backends[value]
-    return value
+    if not isinstance(value, int):
+        return value
+    n = len(sim.backends)
+    if isinstance(value, bool) or not 0 <= value < n:
+        raise ValueError(f"{param} must be a Node or a back-end index "
+                         f"in [0, {n}), got {value!r}")
+    return sim.backends[value]
 
 
-def _resolve_nodes(sim: "ClusterSim", values):
-    return [_resolve_node(sim, v) for v in values]
+def _resolve_nodes(sim: "ClusterSim", values, param: str):
+    return [_resolve_node(sim, v, param) for v in values]
 
 
 def create_workload(name: str, sim: "ClusterSim", dispatcher=None, **kwargs):
     """Instantiate the registered workload ``name`` on ``sim``.
 
     Returns whatever the factory returns: spawned task(s) for the
-    ``spawn_*``-style generators, or a workload object (call
+    task-spawning generators, or a workload object (call
     ``.start()``, or let ``ClusterBuilder.workload`` do it) when the
     spec says ``needs_start``. Unknown names and keywords raise with
     did-you-mean hints; node-valued keywords accept back-end indices.
@@ -162,31 +152,32 @@ def create_workload(name: str, sim: "ClusterSim", dispatcher=None, **kwargs):
 # the stock registry
 # ----------------------------------------------------------------------
 def _background(sim, node, **kw):
-    return _spawn_background_load(sim, _resolve_node(sim, node), **kw)
+    return _spawn_background_load(sim, _resolve_node(sim, node, "node"), **kw)
 
 
 def _incast(sim, target, sources, **kw):
-    return _spawn_incast_tenants(sim, _resolve_node(sim, target),
-                                 _resolve_nodes(sim, sources), **kw)
+    return _spawn_incast_tenants(sim, _resolve_node(sim, target, "target"),
+                                 _resolve_nodes(sim, sources, "sources"), **kw)
 
 
 def _qp_churn(sim, src, target, **kw):
-    return _spawn_qp_churn_flood(sim, _resolve_node(sim, src),
-                                 _resolve_node(sim, target), **kw)
+    return _spawn_qp_churn_flood(sim, _resolve_node(sim, src, "src"),
+                                 _resolve_node(sim, target, "target"), **kw)
 
 
 def _read_blaster(sim, src, target, **kw):
-    return _spawn_read_blaster(sim, _resolve_node(sim, src),
-                               _resolve_node(sim, target), **kw)
+    return _spawn_read_blaster(sim, _resolve_node(sim, src, "src"),
+                               _resolve_node(sim, target, "target"), **kw)
 
 
 def _cache_thrash(sim, src, target, **kw):
-    return _spawn_cache_thrash_walker(sim, _resolve_node(sim, src),
-                                      _resolve_node(sim, target), **kw)
+    return _spawn_cache_thrash_walker(sim, _resolve_node(sim, src, "src"),
+                                      _resolve_node(sim, target, "target"),
+                                      **kw)
 
 
 def _float(sim, node, **kw):
-    return FloatApp(_resolve_node(sim, node), **kw)
+    return FloatApp(_resolve_node(sim, node, "node"), **kw)
 
 
 register_workload(
@@ -266,11 +257,6 @@ __all__ = [
     "create_workload",
     "get_workload_spec",
     "register_workload",
-    "spawn_background_load",
-    "spawn_cache_thrash_walker",
-    "spawn_incast_tenants",
-    "spawn_qp_churn_flood",
-    "spawn_read_blaster",
     "synthesize_diurnal",
     "synthesize_flash_crowd",
     "workload_names",

@@ -8,9 +8,10 @@ messages to an echo thread on the loaded server — generating the NIC
 interrupts and softirq processing that two-sided monitoring must queue
 behind.
 
+This is the ``"background"`` workload of the registry
+(``create_workload("background", sim, node=..., threads=...)``).
 Tenant-shaped RDMA load (the incast tenant and the noisy-neighbor
-attacks) lives in :mod:`repro.workloads.tenants`;
-``spawn_incast_tenants`` is re-exported here for compatibility.
+attacks) lives in :mod:`repro.workloads.tenants`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING, List
 
 from repro.sim.units import MICROSECOND, MILLISECOND
 from repro.transport.sockets import socket_pair
-from repro.workloads.tenants import spawn_incast_tenants  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.cluster import ClusterSim
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import Task
 
 
-def spawn_background_load(
+def _spawn_background_load(
     sim: "ClusterSim",
     node: "Node",
     threads: int,
@@ -45,30 +45,7 @@ def spawn_background_load(
     many back-to-back messages per round — piling interrupts up on the
     NIC-affinity CPU (used by the Fig 6 experiment). Returns the tasks
     created on ``node``.
-
-    Shim over the workload registry (``create_workload("background",
-    ...)``); fingerprint-identical to the pre-registry helper.
     """
-    from repro.workloads import create_workload
-
-    return create_workload(
-        "background", sim, node=node, threads=threads,
-        comm_fraction=comm_fraction, compute_chunk=compute_chunk,
-        message_interval=message_interval, message_bytes=message_bytes,
-        burst=burst)
-
-
-def _spawn_background_load(
-    sim: "ClusterSim",
-    node: "Node",
-    threads: int,
-    comm_fraction: float = 0.5,
-    compute_chunk: int = 1 * MILLISECOND,
-    message_interval: int = 5 * MILLISECOND,
-    message_bytes: int = 1024,
-    burst: int = 1,
-) -> List["Task"]:
-    """The implementation behind the ``"background"`` registry entry."""
     if threads < 0:
         raise ValueError("thread count must be non-negative")
     tasks: List["Task"] = []

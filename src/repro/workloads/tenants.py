@@ -2,27 +2,28 @@
 
 All tenant-shaped load shares one module and one RNG-stream convention
 (``"{label}:{node}:{salt}"`` named streams off ``sim.rng``), so any two
-generators compose deterministically in one run.
+generators compose deterministically in one run. Each is a workload of
+the registry, started with :func:`repro.workloads.create_workload`.
 
-:func:`spawn_incast_tenants` is the congestion experiments' heavy
-tenant: *open-loop* one-sided RDMA writes from many sources converging
-on one port — the classic incast pattern that fills the victim's egress
-queue regardless of how slowly the victim drains it.
+``"incast"`` is the congestion experiments' heavy tenant: *open-loop*
+one-sided RDMA writes from many sources converging on one port — the
+classic incast pattern that fills the victim's egress queue regardless
+of how slowly the victim drains it.
 
 The remaining three are the noisy-neighbor attacks the tenancy plane
 (:mod:`repro.tenancy`) exists to detect and defeat, one per shared NIC
 resource:
 
-* :func:`spawn_qp_churn_flood` — **QP/CQ exhaustion**: create queue
-  pairs far faster than any sane application, filling the NIC's bounded
-  QP table and churning its context cache.
-* :func:`spawn_read_blaster` — **bandwidth hogging**: open-loop large
-  one-sided reads that monopolise the victim NIC's DMA engine and TX
-  port with zero cooperation from the victim's CPU.
-* :func:`spawn_cache_thrash_walker` — **ICM cache thrash**: round-robin
-  tiny reads over more memory regions than the NIC cache holds, so
-  every access (the attacker's *and* other tenants') misses and pays
-  the PCIe refill penalty.
+* ``"qp-churn"`` — **QP/CQ exhaustion**: create queue pairs far faster
+  than any sane application, filling the NIC's bounded QP table and
+  churning its context cache.
+* ``"read-blaster"`` — **bandwidth hogging**: open-loop large one-sided
+  reads that monopolise the victim NIC's DMA engine and TX port with
+  zero cooperation from the victim's CPU.
+* ``"cache-thrash"`` — **ICM cache thrash**: round-robin tiny reads
+  over more memory regions than the NIC cache holds, so every access
+  (the attacker's *and* other tenants') misses and pays the PCIe refill
+  penalty.
 
 Each attack registers its own tenant with the tenancy plane when one is
 installed (binding the source node so all its verbs are attributed),
@@ -54,24 +55,6 @@ def _attack_tenant(sim: "ClusterSim", name: str, src: "Node"):
         return plane.registry.by_name(name)
     except KeyError:
         return plane.create_tenant(name, node=src)
-
-
-def spawn_incast_tenants(
-    sim: "ClusterSim",
-    target: "Node",
-    sources: "Sequence[Node]",
-    flows_per_source: int = 1,
-    message_bytes: int = 8192,
-    interval: int = 50 * MICROSECOND,
-    label: str = "incast",
-) -> List["Task"]:
-    """Shim over ``create_workload("incast", ...)``; see that entry."""
-    from repro.workloads import create_workload
-
-    return create_workload(
-        "incast", sim, target=target, sources=sources,
-        flows_per_source=flows_per_source, message_bytes=message_bytes,
-        interval=interval, label=label)
 
 
 def _spawn_incast_tenants(
@@ -129,27 +112,6 @@ def _spawn_incast_tenants(
 
             tasks.append(src.spawn(f"{label}:{src.name}:{f}", blast_body))
     return tasks
-
-
-def spawn_qp_churn_flood(
-    sim: "ClusterSim",
-    src: "Node",
-    target: "Node",
-    interval: int = 50 * MICROSECOND,
-    burst: int = 8,
-    hold_max: int = 64,
-    message_bytes: int = 64,
-    start_after: int = 0,
-    stop_after: int = 0,
-    label: str = "qp-flood",
-) -> "Task":
-    """Shim over ``create_workload("qp-churn", ...)``; see that entry."""
-    from repro.workloads import create_workload
-
-    return create_workload(
-        "qp-churn", sim, src=src, target=target, interval=interval,
-        burst=burst, hold_max=hold_max, message_bytes=message_bytes,
-        start_after=start_after, stop_after=stop_after, label=label)
 
 
 def _spawn_qp_churn_flood(
@@ -219,26 +181,6 @@ def _spawn_qp_churn_flood(
     return src.spawn(f"{label}:{src.name}", flood_body)
 
 
-def spawn_read_blaster(
-    sim: "ClusterSim",
-    src: "Node",
-    target: "Node",
-    message_bytes: int = 65536,
-    interval: int = 50 * MICROSECOND,
-    flows: int = 2,
-    start_after: int = 0,
-    stop_after: int = 0,
-    label: str = "read-blast",
-) -> List["Task"]:
-    """Shim over ``create_workload("read-blaster", ...)``; see that entry."""
-    from repro.workloads import create_workload
-
-    return create_workload(
-        "read-blaster", sim, src=src, target=target,
-        message_bytes=message_bytes, interval=interval, flows=flows,
-        start_after=start_after, stop_after=stop_after, label=label)
-
-
 def _spawn_read_blaster(
     sim: "ClusterSim",
     src: "Node",
@@ -294,26 +236,6 @@ def _spawn_read_blaster(
 
         tasks.append(src.spawn(f"{label}:{src.name}:{f}", blast_body))
     return tasks
-
-
-def spawn_cache_thrash_walker(
-    sim: "ClusterSim",
-    src: "Node",
-    target: "Node",
-    regions: int = 128,
-    message_bytes: int = 64,
-    interval: int = 20 * MICROSECOND,
-    start_after: int = 0,
-    stop_after: int = 0,
-    label: str = "icm-thrash",
-) -> "Task":
-    """Shim over ``create_workload("cache-thrash", ...)``; see that entry."""
-    from repro.workloads import create_workload
-
-    return create_workload(
-        "cache-thrash", sim, src=src, target=target, regions=regions,
-        message_bytes=message_bytes, interval=interval,
-        start_after=start_after, stop_after=stop_after, label=label)
 
 
 def _spawn_cache_thrash_walker(

@@ -14,7 +14,7 @@ from repro.faults import FaultPlane, parse_schedule
 from repro.hw.cluster import build_cluster
 from repro.monitoring import FrontendMonitor, create_scheme
 from repro.sim.units import ms
-from repro.workloads.background import spawn_incast_tenants
+from repro.workloads import create_workload
 
 
 def make_cluster(schedule=None, n=2, seed=1, **knobs):
@@ -133,8 +133,8 @@ def test_verb_naks_race_dcqcn_rate_cut():
     # Tenants congest the frontend port so DCQCN is actively cutting
     # while the monitor's reads hit injected NAKs.
     # 2 back-ends x 4 flows x 0.16 B/ns ~ 1.3x the link: overloaded.
-    spawn_incast_tenants(sim, sim.frontend, sim.backends,
-                         flows_per_source=4)
+    create_workload("incast", sim, target=sim.frontend, sources=sim.backends,
+                    flows_per_source=4)
     scheme = create_scheme("rdma-sync", sim)
     FrontendMonitor(scheme).start()
     sim.run(ms(120))

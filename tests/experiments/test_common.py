@@ -1,16 +1,18 @@
-"""Tests for the shared experiment plumbing."""
+"""Tests for the experiment result type and the wiring of a built cluster."""
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import ExperimentResult, deploy_rubis_cluster
+from repro.experiments.common import ExperimentResult
 from repro.monitoring import FrontendMonitor
 from repro.sim.units import ms, seconds
 
 
 def test_deploy_wires_everything():
-    app = deploy_rubis_cluster(SimConfig(num_backends=3), scheme_name="rdma-sync",
-                               poll_interval=ms(25))
+    app = (ClusterBuilder(SimConfig(num_backends=3))
+           .scheme("rdma-sync", interval=ms(25))
+           .build())
     assert len(app.servers) == 3
     assert app.scheme.name == "rdma-sync"
     assert app.balancer.num_backends == 3
@@ -21,22 +23,27 @@ def test_deploy_wires_everything():
 
 
 def test_deploy_extended_scheme_enables_irq_scoring():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1), scheme_name="e-rdma-sync")
+    app = (ClusterBuilder(SimConfig(num_backends=1))
+           .scheme("e-rdma-sync")
+           .build())
     assert app.balancer.use_irq_pressure
-    app2 = deploy_rubis_cluster(SimConfig(num_backends=1), scheme_name="rdma-sync")
+    app2 = (ClusterBuilder(SimConfig(num_backends=1))
+            .scheme("rdma-sync")
+            .build())
     assert not app2.balancer.use_irq_pressure
 
 
 def test_deploy_with_admission():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1), with_admission=True,
-                               admission_max_score=0.5)
+    app = (ClusterBuilder(SimConfig(num_backends=1))
+           .with_admission(max_score=0.5)
+           .build())
     assert app.admission is not None
     assert app.admission.max_score == 0.5
     assert app.dispatcher.admission is app.admission
 
 
 def test_deploy_custom_workers():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1), workers=5)
+    app = ClusterBuilder(SimConfig(num_backends=1)).workers(5).build()
     assert app.servers[0].workers == 5
 
 
@@ -48,18 +55,18 @@ def test_experiment_result_series_access():
 
 
 def test_monitor_double_start_rejected():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1))
+    app = ClusterBuilder(SimConfig(num_backends=1)).build()
     with pytest.raises(RuntimeError):
         app.monitor.start()
 
 
 def test_dispatcher_double_start_rejected():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1))
+    app = ClusterBuilder(SimConfig(num_backends=1)).build()
     with pytest.raises(RuntimeError):
         app.dispatcher.start()
 
 
 def test_frontend_monitor_interval_validation():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1))
+    app = ClusterBuilder(SimConfig(num_backends=1)).build()
     with pytest.raises(ValueError):
         FrontendMonitor(app.scheme, interval=0)

@@ -2,8 +2,8 @@
 
 import numpy as np
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.monitoring.heartbeat import NodeHealth
 from repro.monitoring.loadinfo import LoadInfo
 from repro.server.loadbalancer import LeastLoadedBalancer, RoundRobinBalancer
@@ -63,12 +63,11 @@ def test_round_robin_exclude_all_falls_back():
 
 def test_dispatcher_quarantines_hung_backend_and_readmits():
     cfg = SimConfig(num_backends=2, master_seed=11)
-    app = deploy_rubis_cluster(
-        cfg, scheme_name="rdma-sync", poll_interval=ms(20),
-        with_heartbeat=True, heartbeat_interval=ms(20),
-        heartbeat_timeout=ms(2), heartbeat_hung_after=2,
-        fault_schedule="at 300ms hang backend0\nat 700ms recover backend0",
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=ms(20))
+           .with_faults("at 300ms hang backend0\nat 700ms recover backend0")
+           .with_heartbeat(interval=ms(20), timeout=ms(2), hung_after=2)
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
 
@@ -101,10 +100,10 @@ def test_dispatcher_quarantines_hung_backend_and_readmits():
 
 def test_healthy_run_never_reroutes():
     cfg = SimConfig(num_backends=2, master_seed=11)
-    app = deploy_rubis_cluster(
-        cfg, scheme_name="rdma-sync", poll_interval=ms(20),
-        with_heartbeat=True, heartbeat_interval=ms(20),
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=ms(20))
+           .with_heartbeat(interval=ms(20))
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(1))

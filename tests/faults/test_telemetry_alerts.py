@@ -1,7 +1,7 @@
 """Fault plane -> telemetry: injected faults surface as alerts."""
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms
 from repro.telemetry import FaultRule, Severity, default_rules
 
@@ -16,15 +16,13 @@ def test_default_rules_include_an_inert_fault_rule():
 
 def test_deployed_fault_schedule_raises_and_clears_alerts():
     cfg = SimConfig(num_backends=2, master_seed=5)
-    app = deploy_rubis_cluster(
-        cfg, scheme_name="rdma-sync", poll_interval=ms(20),
-        with_telemetry=True,
-        fault_schedule=(
-            "at 100ms hang backend0\n"
-            "at 300ms recover backend0\n"
-            "from 400ms to 600ms verb-nak backend1 p=0.5\n"
-        ),
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=ms(20))
+           .with_telemetry()
+           .with_faults("at 100ms hang backend0\n"
+                        "at 300ms recover backend0\n"
+                        "from 400ms to 600ms verb-nak backend1 p=0.5\n")
+           .build())
     app.run(ms(700))
     log = [a for a in app.telemetry.engine.log if a.rule == "fault-injected"]
     # Raise on apply, clear on recover/revoke, per targeted backend.
@@ -40,11 +38,11 @@ def test_deployed_fault_schedule_raises_and_clears_alerts():
 
 def test_cluster_wide_partition_never_raises_per_backend():
     cfg = SimConfig(num_backends=2, master_seed=5)
-    app = deploy_rubis_cluster(
-        cfg, scheme_name="rdma-sync", poll_interval=ms(20),
-        with_telemetry=True,
-        fault_schedule="from 100ms to 300ms partition frontend | backend0 backend1",
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=ms(20))
+           .with_telemetry()
+           .with_faults("from 100ms to 300ms partition frontend | backend0 backend1")
+           .build())
     app.run(ms(400))
     assert app.sim.faults.stats()["applied"] == 1
     assert [a for a in app.telemetry.engine.log if a.rule == "fault-injected"] == []

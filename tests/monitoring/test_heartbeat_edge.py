@@ -4,6 +4,7 @@ from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
 from repro.monitoring.heartbeat import HeartbeatMonitor, NodeHealth
 from repro.sim.units import ms, seconds
+from repro.workloads import create_workload
 
 
 def test_stop_halts_probing(cluster2):
@@ -36,9 +37,8 @@ def test_hung_detection_respects_hung_after(cluster2):
 
 def test_heartbeat_under_heavy_backend_load(cluster2):
     """Load must never be mistaken for failure (the paper's robustness)."""
-    from repro.workloads.background import spawn_background_load
-
-    spawn_background_load(cluster2, cluster2.backends[0], 32)
+    create_workload("background", cluster2, node=cluster2.backends[0],
+                    threads=32)
     hb = HeartbeatMonitor(cluster2, interval=ms(20))
     cluster2.run(seconds(3))
     assert hb.state[0] is NodeHealth.ALIVE

@@ -4,7 +4,7 @@ from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
 from repro.monitoring import FrontendMonitor, create_scheme
 from repro.sim.units import ms, seconds, us
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 
 
 def test_interrupt_storm_visible_only_to_extended_scheme():
@@ -14,8 +14,8 @@ def test_interrupt_storm_visible_only_to_extended_scheme():
     sim = build_cluster(SimConfig(num_backends=2))
     victim = sim.backends[0]
     # Pure communication load: little task CPU, lots of interrupts.
-    spawn_background_load(sim, victim, 16, comm_fraction=1.0,
-                          message_interval=ms(2), burst=12)
+    create_workload("background", sim, node=victim, threads=16,
+                    comm_fraction=1.0, message_interval=ms(2), burst=12)
     extended = create_scheme("e-rdma-sync", sim, interval=ms(10))
     mon = FrontendMonitor(extended)
     mon.start()

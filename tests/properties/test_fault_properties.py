@@ -14,8 +14,8 @@
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.faults import FaultPlane, FaultSchedule
 from repro.hw.cluster import build_cluster
 from repro.monitoring import create_scheme
@@ -42,10 +42,10 @@ def _fingerprint(app):
 
 def _run_app(seed, *, with_plane, scheme_name="rdma-sync"):
     cfg = SimConfig(num_backends=2, master_seed=seed)
-    app = deploy_rubis_cluster(
-        cfg, scheme_name=scheme_name, poll_interval=ms(50),
-        fault_schedule=FaultSchedule() if with_plane else None,
-    )
+    builder = ClusterBuilder(cfg).scheme(scheme_name, interval=ms(50))
+    if with_plane:
+        builder.with_faults(FaultSchedule())
+    app = builder.build()
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))

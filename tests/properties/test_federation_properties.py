@@ -12,8 +12,8 @@
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.federation import ShardTopology
 from repro.sim.units import ms, seconds
 from repro.workloads.rubis import RubisWorkload
@@ -46,7 +46,7 @@ def _run_app(seed, *, touch_knobs=False, enabled=False):
         cfg.federation.digest_compression = 32
         cfg.federation.rebalance_on_quarantine = False
     cfg.federation.enabled = enabled
-    app = deploy_rubis_cluster(cfg, scheme_name="rdma-sync", poll_interval=ms(50))
+    app = ClusterBuilder(cfg).scheme("rdma-sync", interval=ms(50)).build()
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))

@@ -12,8 +12,8 @@ plane safe to ship default-off:
    reproduces every metric exactly, across multiple seeds.
 """
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.experiments.tenant_matrix import run_cell
 from repro.hw.cluster import build_cluster
 from repro.sim.units import ms, seconds
@@ -21,7 +21,7 @@ from repro.workloads.rubis import RubisWorkload
 
 
 def _fingerprint(cfg):
-    app = deploy_rubis_cluster(cfg, scheme_name="rdma-sync", poll_interval=ms(50))
+    app = ClusterBuilder(cfg).scheme("rdma-sync", interval=ms(50)).build()
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(1))

@@ -1,7 +1,7 @@
 """Tests for client deadlines / timeout accounting."""
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.server.request import Request, RequestStats
 from repro.sim.units import ms, seconds
 from repro.workloads.rubis import RubisWorkload
@@ -32,8 +32,10 @@ def test_no_deadline_means_no_timeouts():
 
 
 def test_workload_deadline_produces_timeouts_under_overload():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1), scheme_name="rdma-sync",
-                               poll_interval=ms(50), workers=8)
+    app = (ClusterBuilder(SimConfig(num_backends=1))
+           .scheme("rdma-sync", interval=ms(50))
+           .workers(8)
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=64, think_time=ms(1),
                        deadline=ms(30), burst_length=8)
     wl.start()
@@ -44,10 +46,10 @@ def test_workload_deadline_produces_timeouts_under_overload():
 
 
 def test_rejected_clients_back_off():
-    app = deploy_rubis_cluster(
-        SimConfig(num_backends=1), scheme_name="rdma-sync", poll_interval=ms(20),
-        with_admission=True, admission_max_score=-1.0,  # reject everything
-    )
+    app = (ClusterBuilder(SimConfig(num_backends=1))
+           .scheme("rdma-sync", interval=ms(20))
+           .with_admission(max_score=-1.0)  # reject everything
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=4, think_time=ms(5),
                        burst_length=4, idle_factor=4)
     wl.start()

@@ -1,7 +1,7 @@
 """Tests for the dispatcher: routing, admission, stats plumbing."""
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.hw.cluster import build_cluster
 from repro.server.request import Request
 from repro.sim.resources import Store
@@ -10,8 +10,9 @@ from repro.workloads.rubis import RubisWorkload
 
 
 def test_end_to_end_request_flow():
-    app = deploy_rubis_cluster(SimConfig(num_backends=2), scheme_name="rdma-sync",
-                               poll_interval=ms(50))
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .scheme("rdma-sync", interval=ms(50))
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=4, think_time=ms(10),
                        burst_length=1)
     wl.start()
@@ -23,8 +24,9 @@ def test_end_to_end_request_flow():
 
 
 def test_dispatcher_spreads_over_backends():
-    app = deploy_rubis_cluster(SimConfig(num_backends=3), scheme_name="rdma-sync",
-                               poll_interval=ms(20))
+    app = (ClusterBuilder(SimConfig(num_backends=3))
+           .scheme("rdma-sync", interval=ms(20))
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=12, think_time=ms(5),
                        burst_length=1)
     wl.start()
@@ -35,10 +37,11 @@ def test_dispatcher_spreads_over_backends():
 
 
 def test_admission_rejects_under_overload():
-    app = deploy_rubis_cluster(
-        SimConfig(num_backends=1), scheme_name="rdma-sync", poll_interval=ms(20),
-        with_admission=True, admission_max_score=0.15, workers=4,
-    )
+    app = (ClusterBuilder(SimConfig(num_backends=1))
+           .scheme("rdma-sync", interval=ms(20))
+           .workers(4)
+           .with_admission(max_score=0.15)
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=32, think_time=ms(1),
                        burst_length=1)
     wl.start()
@@ -49,10 +52,10 @@ def test_admission_rejects_under_overload():
 
 
 def test_rejected_requests_not_counted_completed():
-    app = deploy_rubis_cluster(
-        SimConfig(num_backends=1), scheme_name="rdma-sync", poll_interval=ms(20),
-        with_admission=True, admission_max_score=-1.0,  # reject everything
-    )
+    app = (ClusterBuilder(SimConfig(num_backends=1))
+           .scheme("rdma-sync", interval=ms(20))
+           .with_admission(max_score=-1.0)  # reject everything
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=4, think_time=ms(5),
                        burst_length=1)
     wl.start()
@@ -64,8 +67,9 @@ def test_rejected_requests_not_counted_completed():
 
 
 def test_balancer_inflight_accounting_drains():
-    app = deploy_rubis_cluster(SimConfig(num_backends=2), scheme_name="rdma-sync",
-                               poll_interval=ms(50))
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .scheme("rdma-sync", interval=ms(50))
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5),
                        burst_length=1)
     wl.start()

@@ -2,8 +2,8 @@
 
 import json
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.monitoring.heartbeat import HealthRecord, NodeHealth
 from repro.monitoring.loadinfo import LoadInfo
 from repro.sim.units import MILLISECOND, SECOND
@@ -47,10 +47,10 @@ def test_jsonl_deterministic_for_same_seed_simulation():
     """Same seed, fresh simulation → byte-identical export."""
 
     def run_once():
-        app = deploy_rubis_cluster(
-            SimConfig(num_backends=2, master_seed=77), scheme_name="rdma-sync",
-            poll_interval=50 * MILLISECOND, with_telemetry=True,
-        )
+        app = (ClusterBuilder(SimConfig(num_backends=2, master_seed=77))
+               .scheme("rdma-sync", interval=50 * MILLISECOND)
+               .with_telemetry()
+               .build())
         RubisWorkload(app.sim, app.dispatcher, num_clients=8,
                       think_time=3 * MILLISECOND).start()
         app.run(1 * SECOND)

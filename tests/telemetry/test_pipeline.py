@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.monitoring.frontend import FrontendMonitor
 from repro.monitoring.loadinfo import LoadInfo
 from repro.sim.units import MILLISECOND, SECOND
@@ -127,10 +127,10 @@ def test_alert_rules_fire_through_pipeline():
 
 def test_pipeline_on_live_cluster_run():
     """End-to-end: deployed stack, real poll loop, digests populated."""
-    app = deploy_rubis_cluster(
-        SimConfig(num_backends=2), scheme_name="rdma-sync",
-        poll_interval=50 * MILLISECOND, with_telemetry=True,
-    )
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .scheme("rdma-sync", interval=50 * MILLISECOND)
+           .with_telemetry()
+           .build())
     workload = RubisWorkload(app.sim, app.dispatcher, num_clients=8,
                              think_time=3 * MILLISECOND)
     workload.start()

@@ -4,8 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.monitoring.loadinfo import LoadInfo
 from repro.server.admission import AdmissionController
 from repro.sim.units import MILLISECOND, SECOND
@@ -58,11 +58,11 @@ def test_dispatcher_routes_around_alerted_backend():
     # raised manually below stays active for the rest of the run.
     rules = [ThresholdRule("overload", metric="synthetic", fire_above=1.0,
                            severity=Severity.CRITICAL, sheds=True)]
-    app = deploy_rubis_cluster(
-        SimConfig(num_backends=2), scheme_name="rdma-sync",
-        poll_interval=50 * MILLISECOND, alert_shedding=True,
-        telemetry_rules=rules,
-    )
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .scheme("rdma-sync", interval=50 * MILLISECOND)
+           .with_telemetry(rules=rules)
+           .with_alert_shedding()
+           .build())
     workload = RubisWorkload(app.sim, app.dispatcher, num_clients=8,
                              think_time=3 * MILLISECOND)
     workload.start()
@@ -88,11 +88,11 @@ def test_shedding_repick_follows_clean_headroom():
     re-picks, each then falling back to rotation)."""
     rules = [ThresholdRule("overload", metric="synthetic", fire_above=1.0,
                            severity=Severity.CRITICAL, sheds=True)]
-    app = deploy_rubis_cluster(
-        SimConfig(num_backends=4), scheme_name="rdma-sync",
-        poll_interval=50 * MILLISECOND, alert_shedding=True,
-        telemetry_rules=rules,
-    )
+    app = (ClusterBuilder(SimConfig(num_backends=4))
+           .scheme("rdma-sync", interval=50 * MILLISECOND)
+           .with_telemetry(rules=rules)
+           .with_alert_shedding()
+           .build())
     # A frozen view: shed 0 and 1 look idle, clean 2 is busy, clean 3 idle.
     busy = LoadInfo(backend="b2", collected_at=0, cpu_util=1.0, runq_load=16.0,
                     gauges={"connections": 32})

@@ -10,7 +10,7 @@ quarantine mechanisms compose without fighting each other.
 from repro.api import ClusterBuilder
 from repro.config import SimConfig
 from repro.sim.units import ms
-from repro.workloads.tenants import spawn_read_blaster
+from repro.workloads import create_workload
 
 
 def _incident():
@@ -22,8 +22,8 @@ def _incident():
                             root_interval=ms(10))
            .with_faults("at 60ms crash backend2\nat 120ms recover backend2")
            .build())
-    spawn_read_blaster(app.sim, app.sim.backends[2], app.sim.backends[0],
-                       start_after=ms(10))
+    create_workload("read-blaster", app.sim, src=app.sim.backends[2],
+                    target=app.sim.backends[0], start_after=ms(10))
     return app
 
 

@@ -4,7 +4,7 @@ from repro.api import ClusterBuilder
 from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
 from repro.sim.units import ms
-from repro.workloads.tenants import spawn_read_blaster
+from repro.workloads import create_workload
 
 
 def _cluster(defense=True, **knobs):
@@ -18,7 +18,8 @@ def _cluster(defense=True, **knobs):
 
 
 def _attack(sim):
-    return spawn_read_blaster(sim, sim.clients, sim.backends[0])
+    return create_workload("read-blaster", sim, src=sim.clients,
+                           target=sim.backends[0])
 
 
 def test_defense_escalates_throttle_then_quarantine():

@@ -1,16 +1,11 @@
-"""The attack workloads: registration, bounds, stop_after, re-exports."""
+"""The attack workloads: registration, bounds, stop_after, validation."""
 
 import pytest
 
 from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
 from repro.sim.units import MICROSECOND, ms
-from repro.workloads.tenants import (
-    spawn_cache_thrash_walker,
-    spawn_incast_tenants,
-    spawn_qp_churn_flood,
-    spawn_read_blaster,
-)
+from repro.workloads import create_workload
 
 
 def _cluster(enabled=True, **knobs):
@@ -24,16 +19,16 @@ def _cluster(enabled=True, **knobs):
 def test_attacks_register_their_tenants_once():
     sim = _cluster()
     src, dst = sim.clients, sim.backends[0]
-    spawn_qp_churn_flood(sim, src, dst)
-    spawn_read_blaster(sim, src, dst)
-    spawn_cache_thrash_walker(sim, src, dst, regions=8)
+    create_workload("qp-churn", sim, src=src, target=dst)
+    create_workload("read-blaster", sim, src=src, target=dst)
+    create_workload("cache-thrash", sim, src=src, target=dst, regions=8)
     reg = sim.tenancy.registry
     names = {t.name for t in reg}
     assert {"qp-flood", "read-blast", "icm-thrash"} <= names
     # All verbs from the shared source node are attributed to whichever
     # attack bound it first; a second spawn with the same label reuses
     # the tenant instead of raising.
-    spawn_read_blaster(sim, src, dst)
+    create_workload("read-blaster", sim, src=src, target=dst)
     assert len([t for t in reg if t.name == "read-blast"]) == 1
 
 
@@ -41,16 +36,16 @@ def test_attacks_degrade_gracefully_without_the_plane():
     sim = _cluster(enabled=False)
     assert sim.tenancy is None
     src, dst = sim.clients, sim.backends[0]
-    spawn_read_blaster(sim, src, dst)
-    spawn_qp_churn_flood(sim, src, dst)
-    spawn_cache_thrash_walker(sim, src, dst, regions=8)
+    create_workload("read-blaster", sim, src=src, target=dst)
+    create_workload("qp-churn", sim, src=src, target=dst)
+    create_workload("cache-thrash", sim, src=src, target=dst, regions=8)
     sim.run(ms(5))  # plain unattributed load; nothing raises
 
 
 def test_stop_after_freezes_the_blaster():
     sim = _cluster()
-    spawn_read_blaster(sim, sim.clients, sim.backends[0],
-                       stop_after=ms(10))
+    create_workload("read-blaster", sim, src=sim.clients,
+                    target=sim.backends[0], stop_after=ms(10))
     sim.run(ms(12))
     tenant = sim.tenancy.registry.by_name("read-blast")
     frozen = tenant.posted_ops
@@ -61,8 +56,8 @@ def test_stop_after_freezes_the_blaster():
 
 def test_stop_after_drains_the_flood_qps():
     sim = _cluster()
-    spawn_qp_churn_flood(sim, sim.clients, sim.backends[0],
-                         stop_after=ms(10))
+    create_workload("qp-churn", sim, src=sim.clients, target=sim.backends[0],
+                    stop_after=ms(10))
     sim.run(ms(20))
     tenant = sim.tenancy.registry.by_name("qp-flood")
     assert tenant.qp_creates > 0
@@ -71,8 +66,8 @@ def test_stop_after_drains_the_flood_qps():
 
 def test_flood_hold_max_bounds_live_qps():
     sim = _cluster(qp_table_size=1024)
-    spawn_qp_churn_flood(sim, sim.clients, sim.backends[0],
-                         burst=8, hold_max=16, interval=20 * MICROSECOND)
+    create_workload("qp-churn", sim, src=sim.clients, target=sim.backends[0],
+                    burst=8, hold_max=16, interval=20 * MICROSECOND)
     sim.run(ms(10))
     tenant = sim.tenancy.registry.by_name("qp-flood")
     # Churn, not accumulation: creations far exceed the held window.
@@ -83,8 +78,8 @@ def test_flood_hold_max_bounds_live_qps():
 
 def test_flood_backs_off_when_the_table_fills():
     sim = _cluster(qp_table_size=32)
-    spawn_qp_churn_flood(sim, sim.clients, sim.backends[0],
-                         burst=8, hold_max=64)
+    create_workload("qp-churn", sim, src=sim.clients, target=sim.backends[0],
+                    burst=8, hold_max=64)
     sim.run(ms(10))
     tenant = sim.tenancy.registry.by_name("qp-flood")
     assert tenant.qp_denied > 0  # admission pushed back, attack persisted
@@ -93,8 +88,9 @@ def test_flood_backs_off_when_the_table_fills():
 
 def test_thrash_walker_overflows_the_cache():
     sim = _cluster(icm_entries=16)
-    spawn_cache_thrash_walker(sim, sim.clients, sim.backends[0],
-                              regions=64, interval=10 * MICROSECOND)
+    create_workload("cache-thrash", sim, src=sim.clients,
+                    target=sim.backends[0], regions=64,
+                    interval=10 * MICROSECOND)
     sim.run(ms(10))
     tenant = sim.tenancy.registry.by_name("icm-thrash")
     assert tenant.icm_misses > tenant.posted_ops // 2
@@ -105,15 +101,9 @@ def test_thrash_walker_overflows_the_cache():
 def test_spawner_argument_validation():
     sim = _cluster()
     with pytest.raises(ValueError, match="flows"):
-        spawn_read_blaster(sim, sim.clients, sim.backends[0], flows=0)
+        create_workload("read-blaster", sim, src=sim.clients,
+                        target=sim.backends[0], flows=0)
     with pytest.raises(ValueError, match="regions"):
-        spawn_cache_thrash_walker(sim, sim.clients, sim.backends[0], regions=0)
+        create_workload("cache-thrash", sim, src=sim.clients,
+                        target=sim.backends[0], regions=0)
 
-
-def test_incast_spawner_moved_here_with_compat_re_exports():
-    from repro.workloads import spawn_incast_tenants as from_pkg
-    from repro.workloads.background import spawn_incast_tenants as from_bg
-
-    assert from_pkg is spawn_incast_tenants
-    assert from_bg is spawn_incast_tenants
-    assert spawn_incast_tenants.__module__ == "repro.workloads.tenants"

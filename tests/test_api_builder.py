@@ -1,87 +1,40 @@
-"""ClusterBuilder facade: equivalence with the legacy helper, and misuse."""
+"""ClusterBuilder facade: defaults, config isolation and misuse.
+
+The fingerprints of a minimal, a full-stack and a federated build are
+pinned in tests/test_golden_fingerprints.py.
+"""
+
+import copy
 
 import pytest
 
 from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
-from repro.sim.units import ms, seconds
-from repro.workloads.rubis import RubisWorkload
-
-
-def _fingerprint(app, seconds_to_run=1):
-    wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
-    wl.start()
-    app.run(seconds(seconds_to_run))
-    s = app.dispatcher.stats
-    return (s.count(), repr(s.mean_response()), s.max_response(),
-            tuple(sorted(s.per_backend_counts().items())),
-            app.sim.env.processed_events,
-            tuple(r.latency for r in app.scheme.records[:50]))
-
-
-def test_builder_matches_legacy_helper_minimal():
-    legacy = deploy_rubis_cluster(
-        SimConfig(num_backends=2, master_seed=31), scheme_name="rdma-sync",
-        poll_interval=ms(50))
-    built = (ClusterBuilder(SimConfig(num_backends=2, master_seed=31))
-             .scheme("rdma-sync", interval=ms(50))
-             .build())
-    assert _fingerprint(built) == _fingerprint(legacy)
-
-
-def test_builder_matches_legacy_helper_full_stack():
-    schedule = "at 300ms hang backend0\nat 600ms recover backend0\n"
-
-    def legacy():
-        return deploy_rubis_cluster(
-            SimConfig(num_backends=2, master_seed=32),
-            scheme_name="e-rdma-sync", poll_interval=ms(20),
-            with_admission=True, admission_max_score=0.9,
-            with_telemetry=True, alert_shedding=True,
-            with_tracing=True, trace_sample=0.5,
-            fault_schedule=schedule,
-            with_heartbeat=True, heartbeat_interval=ms(20),
-            heartbeat_timeout=ms(2),
-        )
-
-    def built():
-        return (ClusterBuilder(SimConfig(num_backends=2, master_seed=32))
-                .scheme("e-rdma-sync", interval=ms(20))
-                .with_admission(max_score=0.9)
-                .with_telemetry()
-                .with_alert_shedding()
-                .with_tracing(sample=0.5)
-                .with_faults(schedule)
-                .with_heartbeat(interval=ms(20), timeout=ms(2))
-                .build())
-
-    a, b = legacy(), built()
-    assert _fingerprint(a) == _fingerprint(b)
-    # The optional planes actually exist on both handles.
-    for app in (a, b):
-        assert app.admission is not None
-        assert app.telemetry is not None
-        assert app.faults is not None
-        assert app.heartbeat is not None
-
-
-def test_builder_federation_matches_cfg_flag():
-    cfg = SimConfig(num_backends=8, master_seed=33)
-    cfg.federation.enabled = True
-    legacy = deploy_rubis_cluster(cfg, scheme_name="rdma-sync",
-                                  poll_interval=ms(50))
-    built = (ClusterBuilder(SimConfig(num_backends=8, master_seed=33))
-             .scheme("rdma-sync", interval=ms(50))
-             .with_federation()
-             .build())
-    assert built.federation is not None and legacy.federation is not None
-    assert _fingerprint(built) == _fingerprint(legacy)
 
 
 def test_builder_default_scheme_is_rdma_sync():
     app = ClusterBuilder(SimConfig(num_backends=2)).build()
     assert app.scheme.name == "rdma-sync"
+
+
+def test_builder_leaves_caller_config_untouched():
+    """Chain methods write the builder's own copy of a section, so one
+    config can seed many clusters and what a chain omits stays off."""
+    cfg = SimConfig(num_backends=4)
+    snapshot = copy.deepcopy(cfg)
+    (ClusterBuilder(cfg)
+     .with_tracing(sample=0.5)
+     .with_federation(num_shards=2)
+     .congestion(dcqcn=False)
+     .tenancy(icm_entries=16)
+     .observability(namespace="x")
+     .with_elastic_scaler(high_water=0.9)
+     .build())
+    assert cfg == snapshot
+    app = ClusterBuilder(cfg).build()
+    assert app.federation is None and app.scaler is None and app.obs is None
+    assert app.sim.congestion is None and app.sim.tenancy is None
+    assert not app.sim.spans.enabled
 
 
 def test_build_is_single_shot():

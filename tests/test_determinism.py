@@ -1,14 +1,14 @@
 """End-to-end determinism: identical seeds must give identical runs."""
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms, seconds
 from repro.workloads.rubis import RubisWorkload
 
 
 def run_once(seed):
     cfg = SimConfig(num_backends=2, master_seed=seed)
-    app = deploy_rubis_cluster(cfg, scheme_name="socket-sync", poll_interval=ms(50))
+    app = ClusterBuilder(cfg).scheme("socket-sync", interval=ms(50)).build()
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))
@@ -28,16 +28,14 @@ def run_chaotic(seed):
     cfg = SimConfig(num_backends=2, master_seed=seed)
     cfg.monitor.probe_timeout = ms(2)
     cfg.monitor.probe_backoff = ms(1)
-    app = deploy_rubis_cluster(
-        cfg, scheme_name="rdma-sync", poll_interval=ms(50),
-        with_heartbeat=True, heartbeat_interval=ms(20), heartbeat_timeout=ms(2),
-        fault_schedule=(
-            "at 500ms hang backend0\n"
-            "at 900ms recover backend0\n"
-            "from 1200ms to 1500ms degrade-link frontend backend1 loss=0.2\n"
-            "from 1200ms to 1500ms verb-nak backend1 p=0.5\n"
-        ),
-    )
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=ms(50))
+           .with_faults("at 500ms hang backend0\n"
+                        "at 900ms recover backend0\n"
+                        "from 1200ms to 1500ms degrade-link frontend backend1 loss=0.2\n"
+                        "from 1200ms to 1500ms verb-nak backend1 p=0.5\n")
+           .with_heartbeat(interval=ms(20), timeout=ms(2))
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))

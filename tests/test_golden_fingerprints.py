@@ -24,6 +24,13 @@ delay and context-cache misses; traced reads and writes with their
 segment spans. The same script runs with the congestion plane off and
 on. ``wr_id`` is left out on purpose: it only names a request.
 
+``GOLDEN_BUILDER_MINIMAL``, ``GOLDEN_BUILDER_FULL_STACK`` and
+``GOLDEN_BUILDER_FEDERATED`` were captured from ``ClusterBuilder``
+before the keyword-flag ``deploy`` helper it had replaced was deleted;
+until then, tests held the two fingerprint-identical. They pin a
+minimal stack, every per-cluster plane the builder wires, and a
+federated stack.
+
 The overhauled core must reproduce every value bit-for-bit. If a test
 here fails, the change under review broke same-seed reproducibility —
 do NOT re-capture the goldens to make it pass unless the change is an
@@ -49,7 +56,6 @@ import pytest
 
 from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.faults import FaultPlane, parse_schedule
 from repro.hw.cluster import build_cluster
 from repro.sim.units import ms, seconds
@@ -58,9 +64,9 @@ from repro.workloads.openloop import OpenLoopWorkload
 from repro.workloads.rubis import RubisWorkload
 
 
-def fp_rubis(scheme, seed=1234, **kw):
+def fp_rubis(scheme, seed=1234):
     cfg = SimConfig(num_backends=2, master_seed=seed)
-    app = deploy_rubis_cluster(cfg, scheme_name=scheme, poll_interval=ms(50), **kw)
+    app = ClusterBuilder(cfg).scheme(scheme, interval=ms(50)).build()
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))
@@ -73,8 +79,10 @@ def fp_rubis(scheme, seed=1234, **kw):
 
 def fp_openloop(seed=77):
     cfg = SimConfig(num_backends=2, master_seed=seed)
-    app = deploy_rubis_cluster(cfg, scheme_name="rdma-sync", poll_interval=ms(50),
-                               with_admission=True)
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=ms(50))
+           .with_admission()
+           .build())
     wl = OpenLoopWorkload(app.sim, app.dispatcher, rate_rps=400.0)
     wl.start()
     app.run(seconds(2))
@@ -86,9 +94,11 @@ def fp_openloop(seed=77):
 
 def fp_traced(seed=42):
     cfg = SimConfig(num_backends=2, master_seed=seed)
-    app = deploy_rubis_cluster(cfg, scheme_name="rdma-async", poll_interval=ms(50),
-                               with_telemetry=True, with_tracing=True,
-                               trace_sample=0.25)
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-async", interval=ms(50))
+           .with_telemetry()
+           .with_tracing(sample=0.25)
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=4, think_time=ms(10))
     wl.start()
     app.run(seconds(1))
@@ -101,7 +111,7 @@ def fp_traced(seed=42):
 def fp_federation(seed=9):
     cfg = SimConfig(num_backends=16, master_seed=seed)
     cfg.federation.enabled = True
-    app = deploy_rubis_cluster(cfg, scheme_name="rdma-sync", poll_interval=ms(50))
+    app = ClusterBuilder(cfg).scheme("rdma-sync", interval=ms(50)).build()
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(10))
     wl.start()
     app.run(seconds(1))
@@ -124,6 +134,45 @@ def fp_federation_3level(seed=13):
     return (s.count(), app.sim.env.processed_events,
             tuple(sorted(s.per_backend_counts().items())),
             tuple(app.balancer.shard_picks))
+
+
+def fp_builder(app):
+    """Closed-loop RUBiS for 1 s on a built cluster."""
+    wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
+    wl.start()
+    app.run(seconds(1))
+    s = app.dispatcher.stats
+    return (s.count(), repr(s.mean_response()), s.max_response(),
+            tuple(sorted(s.per_backend_counts().items())),
+            app.sim.env.processed_events,
+            tuple(r.latency for r in app.scheme.records[:50]))
+
+
+def build_minimal():
+    return (ClusterBuilder(SimConfig(num_backends=2, master_seed=31))
+            .scheme("rdma-sync", interval=ms(50))
+            .build())
+
+
+def build_full_stack():
+    """Every per-cluster plane the builder wires: admission, telemetry,
+    alert shedding, tracing, faults and heartbeat failover."""
+    return (ClusterBuilder(SimConfig(num_backends=2, master_seed=32))
+            .scheme("e-rdma-sync", interval=ms(20))
+            .with_admission(max_score=0.9)
+            .with_telemetry()
+            .with_alert_shedding()
+            .with_tracing(sample=0.5)
+            .with_faults("at 300ms hang backend0\nat 600ms recover backend0\n")
+            .with_heartbeat(interval=ms(20), timeout=ms(2))
+            .build())
+
+
+def build_federated():
+    return (ClusterBuilder(SimConfig(num_backends=8, master_seed=33))
+            .scheme("rdma-sync", interval=ms(50))
+            .with_federation()
+            .build())
 
 
 def _verb_mr(node, name, nbytes, value, access):
@@ -258,6 +307,13 @@ GOLDEN_VERBS_CONGESTION = (((('read', 'invalid-rkey', 16520, None, 0), ('write',
 GOLDEN_FEDERATION = (427, 26996, ((0, 34), (1, 32), (2, 26), (3, 24), (4, 28), (5, 28), (6, 27), (7, 21), (8, 24), (9, 29), (10, 23), (11, 33), (12, 28), (13, 17), (14, 25), (15, 28)))
 
 
+GOLDEN_BUILDER_MINIMAL = (707, '2769812.082036775', 21368965, ((0, 371), (1, 336)), 25517, (20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007, 20007, 25007))
+
+GOLDEN_BUILDER_FULL_STACK = (439, '8318072.845102506', 320123159, ((0, 221), (1, 218)), 19705, (33200, 38200, 32700, 37700, 32700, 37700, 47735, 52735, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700, 32700, 37700))
+
+GOLDEN_BUILDER_FEDERATED = (749, '2549712.4606141523', 22358960, ((0, 89), (1, 89), (2, 86), (3, 86), (4, 96), (5, 110), (6, 98), (7, 95)), 31986, ())
+
+
 def _check(name, value, regen):
     """Assert ``value`` against the module constant ``name`` — or, under
     ``--regen-goldens``, rewrite that constant in place and skip."""
@@ -302,3 +358,19 @@ def test_golden_verbs(regen_goldens):
 
 def test_golden_verbs_congestion(regen_goldens):
     _check("GOLDEN_VERBS_CONGESTION", fp_verbs(congestion=True), regen_goldens)
+
+
+def test_golden_builder_minimal(regen_goldens):
+    _check("GOLDEN_BUILDER_MINIMAL", fp_builder(build_minimal()), regen_goldens)
+
+
+def test_golden_builder_full_stack(regen_goldens):
+    app = build_full_stack()
+    assert None not in (app.admission, app.telemetry, app.faults, app.heartbeat)
+    _check("GOLDEN_BUILDER_FULL_STACK", fp_builder(app), regen_goldens)
+
+
+def test_golden_builder_federated(regen_goldens):
+    app = build_federated()
+    assert app.federation is not None
+    _check("GOLDEN_BUILDER_FEDERATED", fp_builder(app), regen_goldens)

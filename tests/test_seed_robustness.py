@@ -6,12 +6,12 @@ asserts the *qualitative* claim holds under both.
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.hw.cluster import build_cluster
 from repro.monitoring import create_scheme
 from repro.sim.units import ms, seconds, us
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 from repro.workloads.rubis import RubisWorkload
 
 SEEDS = (0xC1057E12, 0x5EED5EED)
@@ -23,7 +23,7 @@ def test_rdma_latency_flat_under_any_seed(seed):
     # not on the front end doing the measuring.
     cfg = SimConfig(num_backends=2, master_seed=seed)
     sim = build_cluster(cfg)
-    spawn_background_load(sim, sim.backends[0], 32)
+    create_workload("background", sim, node=sim.backends[0], threads=32)
     scheme = create_scheme("rdma-sync", sim, interval=ms(10))
 
     def poller(k):
@@ -52,7 +52,7 @@ def test_socket_latency_load_dependent_under_any_seed(seed):
     sim.run(seconds(1))
     idle = sum(scheme.latencies()) / len(scheme.latencies())
     n = len(scheme.records)
-    spawn_background_load(sim, sim.backends[0], 32)
+    create_workload("background", sim, node=sim.backends[0], threads=32)
     sim.run(seconds(3))
     loaded = [r.latency for r in scheme.records[n:]]
     assert sum(loaded) / len(loaded) > 2 * idle
@@ -118,8 +118,10 @@ def test_rubis_scheme_ordering_under_any_seed(seed):
         cfg = SimConfig(num_backends=2, master_seed=seed)
         cfg.cpu.wake_preempt_margin = 8
         cfg.cpu.timeslice_ticks = 8
-        app = deploy_rubis_cluster(cfg, scheme_name=scheme_name,
-                                   poll_interval=ms(50), workers=24)
+        app = (ClusterBuilder(cfg)
+               .scheme(scheme_name, interval=ms(50))
+               .workers(24)
+               .build())
         wl = RubisWorkload(app.sim, app.dispatcher, num_clients=48,
                            think_time=ms(2), demand_cv=0.4,
                            burst_length=10, idle_factor=8)

@@ -1,7 +1,7 @@
 """End-to-end request tracing over the deployed RUBiS stack."""
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import MILLISECOND, ms
 from repro.tracing.span import STATUS_ERROR
 from repro.workloads.rubis import RubisWorkload
@@ -10,10 +10,12 @@ from repro.workloads.rubis import RubisWorkload
 def traced_cluster(seed=1, sample_rate=1.0, with_admission=False,
                    with_tracing=True, num_backends=2):
     cfg = SimConfig(num_backends=num_backends, master_seed=seed)
-    app = deploy_rubis_cluster(cfg, scheme_name="rdma-sync", workers=4,
-                               with_admission=with_admission,
-                               with_tracing=with_tracing,
-                               trace_sample=sample_rate)
+    builder = ClusterBuilder(cfg).scheme("rdma-sync").workers(4)
+    if with_admission:
+        builder.with_admission()
+    if with_tracing:
+        builder.with_tracing(sample=sample_rate)
+    app = builder.build()
     workload = RubisWorkload(app.sim, app.dispatcher, num_clients=8,
                              think_time=3 * MILLISECOND, burst_length=4)
     workload.start()

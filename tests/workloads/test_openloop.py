@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms, seconds
 from repro.workloads.openloop import OpenLoopWorkload
 
@@ -11,8 +11,10 @@ from repro.workloads.openloop import OpenLoopWorkload
 def deploy(rate, num_backends=2, **kw):
     cfg = SimConfig(num_backends=num_backends)
     cfg.cpu.wake_preempt_margin = 8
-    app = deploy_rubis_cluster(cfg, scheme_name="rdma-sync",
-                               poll_interval=ms(50), workers=16)
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=ms(50))
+           .workers(16)
+           .build())
     wl = OpenLoopWorkload(app.sim, app.dispatcher, rate_rps=rate, **kw)
     wl.start()
     return app, wl

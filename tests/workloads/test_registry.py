@@ -1,10 +1,6 @@
-"""Tests for the unified workload registry and the legacy shims.
-
-The ``spawn_*`` helpers are now shims over ``create_workload``; the
-acceptance bar is that they stay **fingerprint-identical** to driving
-the registry directly (same RNG streams, same event counts), and that
-the registry audits names and keywords with did-you-mean hints.
-"""
+"""Tests for the unified workload registry: names, keywords and nodes
+are audited with did-you-mean hints or range errors, and chained
+workloads start exactly like hand-started ones."""
 
 import pytest
 
@@ -15,64 +11,8 @@ from repro.workloads import (
     WORKLOADS,
     create_workload,
     get_workload_spec,
-    spawn_background_load,
-    spawn_incast_tenants,
-    spawn_qp_churn_flood,
     workload_names,
 )
-
-
-def _fingerprint(sim):
-    return (sim.env.processed_events,
-            tuple(int(x) for x in
-                  sim.rng.stream("probe:fingerprint").integers(0, 1 << 30, 4)))
-
-
-def _run_arm(seed, spawn):
-    sim = build_cluster(SimConfig(num_backends=3, master_seed=seed))
-    spawn(sim)
-    sim.run(seconds(1))
-    return _fingerprint(sim)
-
-
-# ----------------------------------------------------------------------
-# shims == registry, bit for bit
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", (1234, 77))
-def test_background_shim_is_fingerprint_identical(seed):
-    shim = _run_arm(seed, lambda sim: spawn_background_load(
-        sim, sim.backends[0], threads=4, burst=2))
-    registry = _run_arm(seed, lambda sim: create_workload(
-        "background", sim, node=0, threads=4, burst=2))
-    assert shim == registry
-
-
-@pytest.mark.parametrize("seed", (1234,))
-def test_incast_shim_is_fingerprint_identical(seed):
-    shim = _run_arm(seed, lambda sim: spawn_incast_tenants(
-        sim, sim.backends[0], sim.backends[1:], flows_per_source=2))
-    registry = _run_arm(seed, lambda sim: create_workload(
-        "incast", sim, target=0, sources=[1, 2], flows_per_source=2))
-    assert shim == registry
-
-
-@pytest.mark.parametrize("seed", (1234,))
-def test_attack_shim_is_fingerprint_identical(seed):
-    def _cfg(s):
-        cfg = SimConfig(num_backends=2, master_seed=s)
-        cfg.tenancy.enabled = True
-        return cfg
-
-    runs = []
-    for spawn in (
-        lambda sim: spawn_qp_churn_flood(sim, sim.clients, sim.backends[0]),
-        lambda sim: create_workload("qp-churn", sim, src=sim.clients, target=0),
-    ):
-        sim = build_cluster(_cfg(seed))
-        spawn(sim)
-        sim.run(seconds(1) // 2)
-        runs.append(_fingerprint(sim))
-    assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +50,13 @@ def test_node_valued_params_accept_indices():
     sim = build_cluster(SimConfig(num_backends=2))
     tasks = create_workload("background", sim, node=1, threads=2)
     assert tasks and all(t.node is sim.backends[1] for t in tasks)
+    for bad in (-1, True, 2, 5):
+        with pytest.raises(ValueError, match=r"node .*\[0, 2\)"):
+            create_workload("background", sim, node=bad, threads=1)
+    with pytest.raises(ValueError, match=r"sources .*\[0, 2\)"):
+        create_workload("incast", sim, target=0, sources=[1, -1])
+    with pytest.raises(ValueError, match=r"target .*\[0, 2\)"):
+        create_workload("qp-churn", sim, src=0, target=False)
 
 
 def test_builder_workload_chain_validates_eagerly():

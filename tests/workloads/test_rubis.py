@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms, seconds
 from repro.workloads.rubis import RUBIS_QUERIES, RubisWorkload
 
@@ -26,8 +26,9 @@ def test_heavy_class_demands_exceed_light():
 
 
 def make_app(num_clients=4, **wl_kwargs):
-    app = deploy_rubis_cluster(SimConfig(num_backends=2), scheme_name="rdma-sync",
-                               poll_interval=ms(50))
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .scheme("rdma-sync", interval=ms(50))
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=num_clients,
                        think_time=ms(8), **wl_kwargs)
     return app, wl

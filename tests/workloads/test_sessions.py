@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms
 from repro.workloads.rubis import RUBIS_QUERIES, RubisWorkload
 
 
 def make_workload(persistence):
-    app = deploy_rubis_cluster(SimConfig(num_backends=1), scheme_name="rdma-sync")
+    app = ClusterBuilder(SimConfig(num_backends=1)).scheme("rdma-sync").build()
     return RubisWorkload(app.sim, app.dispatcher, num_clients=1,
                          persistence=persistence)
 

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.sim.units import ms, seconds
 from repro.workloads.rubis import RubisWorkload
 from repro.workloads.traces import (
@@ -18,8 +18,9 @@ from repro.workloads.traces import (
 
 
 def record_run(duration=seconds(2), num_clients=6):
-    app = deploy_rubis_cluster(SimConfig(num_backends=2), scheme_name="rdma-sync",
-                               poll_interval=ms(50))
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .scheme("rdma-sync", interval=ms(50))
+           .build())
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=num_clients,
                        think_time=ms(8), burst_length=1)
     wl.start()
@@ -51,8 +52,9 @@ def test_replay_reproduces_the_stream():
     recorder = record_run()
     trace = sorted(recorder.entries, key=lambda e: e.offset_ns)
 
-    app = deploy_rubis_cluster(SimConfig(num_backends=2), scheme_name="rdma-sync",
-                               poll_interval=ms(50))
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .scheme("rdma-sync", interval=ms(50))
+           .build())
     replayer = TraceReplayer(app.sim, app.dispatcher, trace)
     replayer.start()
     horizon = trace[-1].offset_ns + seconds(2)
@@ -71,8 +73,9 @@ def test_replay_time_scale_compresses():
     trace = sorted(recorder.entries, key=lambda e: e.offset_ns)
     spans = {}
     for scale in (1.0, 0.5):
-        app = deploy_rubis_cluster(SimConfig(num_backends=2),
-                                   scheme_name="rdma-sync")
+        app = (ClusterBuilder(SimConfig(num_backends=2))
+               .scheme("rdma-sync")
+               .build())
         replayer = TraceReplayer(app.sim, app.dispatcher, trace, time_scale=scale)
         replayer.start()
         app.run(trace[-1].offset_ns + seconds(2))
@@ -82,7 +85,7 @@ def test_replay_time_scale_compresses():
 
 
 def test_replay_validation():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1), scheme_name="rdma-sync")
+    app = ClusterBuilder(SimConfig(num_backends=1)).scheme("rdma-sync").build()
     with pytest.raises(ValueError):
         TraceReplayer(app.sim, app.dispatcher, [])
     entry = TraceEntry(0, "rubis", "Home", 1000, 0, None, 512, 0)
@@ -187,8 +190,9 @@ def test_recorded_trace_replays_byte_identically(tmp_path):
 
     runs = []
     for trace in (recorder.entries, loaded):
-        app = deploy_rubis_cluster(SimConfig(num_backends=2),
-                                   scheme_name="rdma-sync")
+        app = (ClusterBuilder(SimConfig(num_backends=2))
+               .scheme("rdma-sync")
+               .build())
         replayer = TraceReplayer(app.sim, app.dispatcher, list(trace))
         replayer.start()
         app.run(max(e.offset_ns for e in trace) + seconds(1))
@@ -201,7 +205,7 @@ def test_recorded_trace_replays_byte_identically(tmp_path):
 
 
 def test_attach_records_live_arrivals():
-    app = deploy_rubis_cluster(SimConfig(num_backends=2), scheme_name="rdma-sync")
+    app = ClusterBuilder(SimConfig(num_backends=2)).scheme("rdma-sync").build()
     recorder = TraceRecorder().attach(app.dispatcher)
     seen = []
     # attach() chains, never replaces, an existing observer.
@@ -225,8 +229,9 @@ def test_load_scale_amplifies_deterministically():
     for scale in (1.0, 2.0):
         issued = []
         for _ in range(2):
-            app = deploy_rubis_cluster(SimConfig(num_backends=2),
-                                       scheme_name="rdma-sync")
+            app = (ClusterBuilder(SimConfig(num_backends=2))
+                   .scheme("rdma-sync")
+                   .build())
             replayer = TraceReplayer(app.sim, app.dispatcher, trace,
                                      load_scale=scale)
             replayer.start()
@@ -239,8 +244,7 @@ def test_load_scale_amplifies_deterministically():
 
     # Fractional scales resolve on the dedicated stream: 1.5x lands
     # strictly between 1x and 2x.
-    app = deploy_rubis_cluster(SimConfig(num_backends=2),
-                               scheme_name="rdma-sync")
+    app = ClusterBuilder(SimConfig(num_backends=2)).scheme("rdma-sync").build()
     replayer = TraceReplayer(app.sim, app.dispatcher, trace, load_scale=1.5)
     replayer.start()
     app.run(trace[-1].offset_ns + seconds(1))

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
-from repro.experiments.common import deploy_rubis_cluster
 from repro.hw.cluster import build_cluster
 from repro.sim.units import ms, seconds
-from repro.workloads.background import spawn_background_load
+from repro.workloads import create_workload
 from repro.workloads.floatapp import FloatApp
 from repro.workloads.zipf import ZipfWorkload, zipf_weights
 
@@ -44,7 +44,7 @@ def test_zipf_weight_validation():
 
 
 def test_zipf_sampling_matches_distribution():
-    app = deploy_rubis_cluster(SimConfig(num_backends=1), scheme_name="rdma-sync")
+    app = ClusterBuilder(SimConfig(num_backends=1)).scheme("rdma-sync").build()
     wl = ZipfWorkload(app.sim, app.dispatcher, alpha=0.9, num_documents=100)
     samples = [wl.sample_document() for _ in range(5000)]
     top = sum(1 for s in samples if s == 0) / len(samples)
@@ -52,7 +52,7 @@ def test_zipf_sampling_matches_distribution():
 
 
 def test_zipf_clients_drive_requests():
-    app = deploy_rubis_cluster(SimConfig(num_backends=2), scheme_name="rdma-sync")
+    app = ClusterBuilder(SimConfig(num_backends=2)).scheme("rdma-sync").build()
     wl = ZipfWorkload(app.sim, app.dispatcher, alpha=0.5, num_clients=6,
                       think_time=ms(5))
     wl.start()
@@ -65,7 +65,9 @@ def test_zipf_clients_drive_requests():
 def test_zipf_cache_miss_rate_falls_with_alpha():
     rates = {}
     for alpha in (0.25, 0.95):
-        app = deploy_rubis_cluster(SimConfig(num_backends=2), scheme_name="rdma-sync")
+        app = (ClusterBuilder(SimConfig(num_backends=2))
+               .scheme("rdma-sync")
+               .build())
         wl = ZipfWorkload(app.sim, app.dispatcher, alpha=alpha, num_clients=8,
                           think_time=ms(3))
         wl.start()
@@ -80,7 +82,8 @@ def test_background_load_thread_split():
     sim = build_cluster(SimConfig(num_backends=2))
     node = sim.backends[0]
     before = node.sched.nr_threads()
-    tasks = spawn_background_load(sim, node, 8, comm_fraction=0.5)
+    tasks = create_workload("background", sim, node=node, threads=8,
+                            comm_fraction=0.5)
     assert len(tasks) == 8
     assert node.sched.nr_threads() == before + 8
 
@@ -88,17 +91,17 @@ def test_background_load_thread_split():
 def test_background_comm_generates_interrupts():
     sim = build_cluster(SimConfig(num_backends=2))
     node = sim.backends[0]
-    spawn_background_load(sim, node, 8, comm_fraction=1.0,
-                          message_interval=ms(2))
+    create_workload("background", sim, node=node, threads=8, comm_fraction=1.0,
+                    message_interval=ms(2))
     sim.run(seconds(1))
     assert node.nic.kernel_rx_packets > 100
 
 
 def test_background_zero_threads():
     sim = build_cluster(SimConfig(num_backends=2))
-    assert spawn_background_load(sim, sim.backends[0], 0) == []
+    assert create_workload("background", sim, node=sim.backends[0], threads=0) == []
     with pytest.raises(ValueError):
-        spawn_background_load(sim, sim.backends[0], -1)
+        create_workload("background", sim, node=sim.backends[0], threads=-1)
 
 
 def test_floatapp_unperturbed_delay_near_one():
