@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from functools import partial
 
 PY = sys.executable
 
@@ -30,10 +31,10 @@ def bench(path: str) -> list:
     return pytest(path, "--benchmark-only", "-s")
 
 
-def perfbench_smoke() -> None:
+def perfbench_smoke(workload: str) -> None:
     """One short benchmark run; its own result checks must pass."""
     out = subprocess.run(
-        [PY, "perfbench/run.py", "--workload", "n8_planes", "--seed", "1",
+        [PY, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         stdout=subprocess.PIPE, text=True, check=True).stdout
     print(out, end="")
@@ -134,11 +135,16 @@ PLANES = {
          bench("benchmarks/test_replay.py")),
     ],
     "perf": [
-        ("Determinism gate (golden fingerprints + engine ordering + verb allocations)",
+        ("Determinism gate (golden fingerprints + engine ordering + verb and "
+         "report allocations)",
          pytest("-q", "tests/test_golden_fingerprints.py", "tests/sim/test_pqueue.py",
                 "tests/sim/test_engine_ordering.py",
-                "tests/transport/test_verb_allocations.py")),
-        ("Repo benchmark smoke (its result checks must pass)", perfbench_smoke),
+                "tests/transport/test_verb_allocations.py",
+                "tests/transport/test_report_allocations.py")),
+        ("Repo benchmark smoke, flat poller (its result checks must pass)",
+         partial(perfbench_smoke, "n8_planes")),
+        ("Repo benchmark smoke, federated report path (its result checks must pass)",
+         partial(perfbench_smoke, "n512_federated")),
     ],
     "core-scale": [
         ("Differential core conformance (legacy vs current engine)",

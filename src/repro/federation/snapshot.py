@@ -37,7 +37,11 @@ SNAPSHOT_METRICS: Tuple[str, ...] = (
 
 
 def pack_info(backend_index: int, info: LoadInfo) -> tuple:
-    """One member's load record as an all-immutable tuple."""
+    """One member's load record as an all-immutable tuple.
+
+    The per-CPU irq tuples are already immutable, so they pass through
+    (and back out of :func:`unpack_info`) by identity.
+    """
     return (
         backend_index,
         info.backend,
@@ -52,8 +56,8 @@ def pack_info(backend_index: int, info: LoadInfo) -> tuple:
         info.mem_util,
         info.net_rate_mbps,
         tuple(sorted(info.gauges.items())),
-        None if info.irq_pending is None else tuple(info.irq_pending),
-        None if info.irq_handled is None else tuple(info.irq_handled),
+        info.irq_pending,
+        info.irq_handled,
     )
 
 
@@ -83,8 +87,8 @@ def unpack_info(packed: tuple, received_at: Optional[int] = None) -> Tuple[int, 
         mem_util,
         net_rate_mbps,
         dict(gauges),
-        None if irq_pending is None else list(irq_pending),
-        None if irq_handled is None else list(irq_handled),
+        irq_pending,
+        irq_handled,
     )
     return index, info
 

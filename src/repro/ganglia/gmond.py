@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.ganglia.metrics import MetricRecord, MetricStore
+from repro.kernel.loadavg import BUSY_CPUS, LOADAVG_1, NR_RUNNING, NR_THREADS
 from repro.sim.units import SECOND
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,10 +55,10 @@ class Gmond:
         while not self._stopped:
             stats = yield from node.procfs.read_stat(k)
             records = [
-                MetricRecord(node.name, "load_one", stats["loadavg"][0], k.now),
-                MetricRecord(node.name, "proc_run", stats["nr_running"], k.now),
-                MetricRecord(node.name, "proc_total", stats["nr_threads"], k.now),
-                MetricRecord(node.name, "cpu_busy", stats["busy_cpus"], k.now),
+                MetricRecord(node.name, "load_one", stats[LOADAVG_1], k.now),
+                MetricRecord(node.name, "proc_run", stats[NR_RUNNING], k.now),
+                MetricRecord(node.name, "proc_total", stats[NR_THREADS], k.now),
+                MetricRecord(node.name, "cpu_busy", stats[BUSY_CPUS], k.now),
             ]
             for record in records:
                 self.store.update(record)

@@ -36,7 +36,7 @@ class KernelModule:
         self.reads = 0
 
     def read_irq_stat(self, k: "TaskContext") -> Generator:
-        """Composite syscall returning the irq_stat snapshot.
+        """Composite syscall returning the ``irq_stat`` record.
 
         The snapshot is taken when the kernel work completes — i.e. after
         the calling process has been scheduled and trapped in, by which
@@ -47,7 +47,7 @@ class KernelModule:
         return self.node.irq.irq_stat()
 
     def read_kernel_load(self, k: "TaskContext") -> Generator:
-        """Composite syscall returning the live load snapshot."""
+        """Composite syscall returning the ``kern.load`` record."""
         yield k.syscall(self.IOCTL_COST)
         self.reads += 1
         return self.node.loadacct.snapshot()

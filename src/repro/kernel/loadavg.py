@@ -12,6 +12,28 @@ Mirrors the kernel structures the paper's schemes read:
 
 All of these are *live kernel state*: RDMA-Sync registers them as
 provider-backed memory regions and reads them without the host CPU.
+
+A read of ``kern.load`` (:meth:`LoadAccounting.snapshot`, also what
+``/proc`` and the kernel module hand to user space) returns one record:
+a flat, exact tuple of ints, floats and strs, whose fields the index
+constants below name::
+
+    (time, ticks, nr_running, nr_threads, busy_cpus, runq_ema,
+     loadavg_1, loadavg_5, loadavg_15,
+     mem_used_bytes, mem_total_bytes, net_rx_bytes, net_tx_bytes,
+     num_cpus,
+     user_0, sys_0, irq_0, idle_0, ..., user_n, sys_n, irq_n, idle_n,
+     gauge_name_0, gauge_value_0, ...)
+
+Jiffies are nanoseconds, ``JIFFY_FIELDS`` per CPU from ``JIFFIES`` on;
+the node's application gauges follow as name/value pairs up to the end.
+The record is flat on purpose. A collection stops tracking a tuple
+whose items are all untracked, but it examines a tuple before the young
+tuples only it holds, so it peels one level of nesting per collection:
+a nested record would still be tracked at its first gen-1 collection
+and be promoted into the collector's old generation. A flat record is
+untracked by its first collection, so a record in flight is never
+promoted.
 """
 
 from __future__ import annotations
@@ -31,6 +53,13 @@ _FIXED_1 = 1 << _FSHIFT
 _EXP_1 = 1884
 _EXP_5 = 2014
 _EXP_15 = 2037
+
+#: fields of a ``kern.load`` record; per-CPU jiffies start at ``JIFFIES``
+(TIME, TICKS, NR_RUNNING, NR_THREADS, BUSY_CPUS, RUNQ_EMA, LOADAVG_1, LOADAVG_5,
+ LOADAVG_15, MEM_USED_BYTES, MEM_TOTAL_BYTES, NET_RX_BYTES, NET_TX_BYTES, NUM_CPUS,
+ JIFFIES) = range(15)
+#: one CPU's jiffies: user, sys, irq and idle ns
+JIFFY_FIELDS = 4
 
 
 class LoadAccounting:
@@ -76,8 +105,8 @@ class LoadAccounting:
         """Tick-resolution run-queue EMA — the fine-grained load signal."""
         return self.runq_ema
 
-    def snapshot(self) -> dict:
-        """Live-kernel view (RDMA-readable).
+    def snapshot(self) -> tuple:
+        """The ``kern.load`` record, *now* (layout in the module doc).
 
         Built in a single pass over the CPUs (this runs on every RDMA
         read of the region, so the per-CPU accounting is inlined rather
@@ -94,23 +123,26 @@ class LoadAccounting:
         for cpu in sched.cpus:
             user, sys_, irq = cpu.user_ns, cpu.sys_ns, cpu.irq_ns
             idle = elapsed - user - sys_ - irq
-            jiffies.append({"user": user, "sys": sys_, "irq": irq,
-                            "idle": idle if idle > 0 else 0})
+            jiffies += (user, sys_, irq, idle if idle > 0 else 0)
             if cpu.current is not None:
                 busy_cpus += 1
+        gauges = []
+        for pair in node.gauges.items():
+            gauges += pair
         nic = node.nic
-        return {
-            "time": now,
-            "ticks": self.ticks,
-            "nr_running": len(sched.runqueue) + busy_cpus,
-            "nr_threads": len(sched.tasks),
-            "busy_cpus": busy_cpus,
-            "runq_ema": self.runq_ema,
-            "loadavg": self.loadavg(),
-            "jiffies": jiffies,
-            "gauges": dict(node.gauges),
-            "mem_used_bytes": sched.rss_total(),
-            "mem_total_bytes": node.memory.capacity_bytes,
-            "net_rx_bytes": nic.kernel_rx_bytes,
-            "net_tx_bytes": nic.kernel_tx_bytes,
-        }
+        return (
+            now,
+            self.ticks,
+            len(sched.runqueue) + busy_cpus,
+            len(sched.tasks),
+            busy_cpus,
+            self.runq_ema,
+            *self.loadavg(),
+            sched.rss_total(),
+            node.memory.capacity_bytes,
+            nic.kernel_rx_bytes,
+            nic.kernel_tx_bytes,
+            len(sched.cpus),
+            *jiffies,
+            *gauges,
+        )

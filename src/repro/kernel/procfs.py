@@ -38,8 +38,9 @@ class ProcFs:
         cfg = self.node.cfg.syscall
         return cfg.proc_read_base + cfg.proc_read_per_task * self.node.sched.nr_threads()
 
-    def snapshot(self) -> dict:
-        """The statistics themselves (exact, instantaneous)."""
+    def snapshot(self) -> tuple:
+        """The statistics themselves (exact, instantaneous): the
+        ``kern.load`` record of :mod:`repro.kernel.loadavg`."""
         return self.node.loadacct.snapshot()
 
     def read_stat(self, k: "TaskContext") -> Generator:

@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.kernel.loadavg import TICKS
 from repro.sim.events import AnyOf
 from repro.transport.verbs import (
     AccessFlags,
@@ -137,13 +138,13 @@ class HeartbeatMonitor:
             yield k.sleep(self.interval)
 
     @staticmethod
-    def _extract_ticks(snapshot: dict) -> int:
+    def _extract_ticks(snapshot: tuple) -> int:
         """The heartbeat counter: the kernel's timer-tick count.
 
         A hung kernel's timer stops; a healthy one ticks at 100 Hz, so
         at any probing interval ≥ one tick the counter always advances.
         """
-        return snapshot["ticks"]
+        return snapshot[TICKS]
 
     # ------------------------------------------------------------------
     def healthy_backends(self) -> List[int]:

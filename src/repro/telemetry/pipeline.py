@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.monitoring.loadinfo import LoadInfo
 from repro.telemetry.alerts import (
     AlertEngine,
     AnomalyRule,
@@ -37,6 +36,7 @@ from repro.telemetry.ringstore import RingStore
 if TYPE_CHECKING:  # pragma: no cover
     from repro.monitoring.frontend import FrontendMonitor
     from repro.monitoring.heartbeat import HeartbeatMonitor
+    from repro.monitoring.loadinfo import LoadInfo
 
 #: LoadInfo fields tracked by default (staleness is derived)
 DEFAULT_METRICS: Tuple[str, ...] = (

@@ -22,8 +22,8 @@ def _info(i, collected_at=1_000, received_at=2_000, irq=False):
         mem_util=0.4,
         net_rate_mbps=12.0,
         gauges={"connections": 7.0, "queue": 2.0},
-        irq_pending=[1, 0, 2, 0] if irq else None,
-        irq_handled=[9, 8, 7, 6] if irq else None,
+        irq_pending=(1, 0, 2, 0) if irq else None,
+        irq_handled=(9, 8, 7, 6) if irq else None,
     )
 
 

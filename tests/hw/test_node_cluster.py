@@ -5,6 +5,7 @@ import pytest
 from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
 from repro.hw.node import KERN_IRQSTAT_BYTES, KERN_LOAD_BYTES
+from repro.kernel.loadavg import JIFFIES, JIFFY_FIELDS, NR_THREADS, NUM_CPUS
 from repro.sim.units import ms
 
 
@@ -37,7 +38,9 @@ def test_live_kernel_regions_mapped_at_boot():
     assert load.is_live and load.nbytes == KERN_LOAD_BYTES
     assert irq.is_live and irq.nbytes == KERN_IRQSTAT_BYTES
     snap = load.read()
-    assert "jiffies" in snap and "nr_threads" in snap
+    assert snap[NUM_CPUS] == be.num_cpus
+    assert len(snap) == JIFFIES + JIFFY_FIELDS * be.num_cpus
+    assert snap[NR_THREADS] == be.sched.nr_threads()
 
 
 def test_node_by_name():

@@ -2,8 +2,22 @@
 
 from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
-from repro.kernel.interrupts import IrqVector
+from repro.kernel.interrupts import (
+    BH_EXECUTED,
+    CPU_FIELDS,
+    FIRST_CPU,
+    HANDLED,
+    PENDING,
+    SOFTIRQ_BACKLOG,
+    IrqVector,
+)
 from repro.sim.units import ms, us
+
+
+def hard_pending(stat, cpu):
+    """Raised-but-unserviced hard interrupts of ``cpu`` in an irq_stat record."""
+    block = FIRST_CPU + cpu * CPU_FIELDS
+    return sum(stat[block + PENDING:block + HANDLED])
 
 
 def test_timer_irqs_fire_on_every_cpu(cluster1):
@@ -49,17 +63,18 @@ def test_pending_count_visible_during_service(cluster1):
     # Raise two NIC IRQs back to back; while the first is in service the
     # second is pending.
     def first_done():
-        observed.append(be.irq.irq_stat()["cpus"][0]["hard_pending"])
+        observed.append(hard_pending(be.irq.irq_stat(), 0))
 
     be.irq.raise_irq(0, IrqVector.NIC, us(4), action=first_done)
     be.irq.raise_irq(0, IrqVector.NIC, us(4))
     # Sample immediately (before any service completes).
     snap = be.irq.irq_stat()
-    assert snap["cpus"][0]["hard_pending"] == 2
+    assert hard_pending(snap, 0) == 2
+    assert snap[FIRST_CPU + PENDING + IrqVector.NIC] == 2
     cluster1.run(ms(1))
     # When the first handler finished, the second was still pending.
     assert observed == [1]
-    assert be.irq.irq_stat()["cpus"][0]["hard_pending"] == 0
+    assert hard_pending(be.irq.irq_stat(), 0) == 0
 
 
 def test_softirq_budget_defers_to_ksoftirqd(cluster1):
@@ -90,11 +105,29 @@ def test_nic_irq_affinity_round_robin():
 
 def test_irq_stat_snapshot_structure(cluster1):
     be = cluster1.backends[0]
+    be.irq.raise_irq(0, IrqVector.NIC, us(4))
+    be.irq.raise_softirq(0, us(8))
+    cluster1.run(ms(25))
+    be.irq.raise_irq(1, IrqVector.CQ, us(4))
+    be.irq.raise_softirq(1, us(8))
     snap = be.irq.irq_stat()
-    assert len(snap["cpus"]) == 2
-    for cpu in snap["cpus"]:
-        assert set(cpu) == {"hard_pending", "pending_by_vector", "soft_pending",
-                            "handled", "bh_executed"}
+    assert type(snap) is tuple
+    assert all(type(v) is int for v in snap)
+    assert len(snap) == FIRST_CPU + 2 * CPU_FIELDS
+    assert snap[0] == cluster1.env.now
+    for cpu in range(2):
+        state = be.irq.percpu[cpu]
+        block = snap[FIRST_CPU + cpu * CPU_FIELDS:FIRST_CPU + (cpu + 1) * CPU_FIELDS]
+        assert block[PENDING:HANDLED] == tuple(state.hard_pending)
+        assert block[HANDLED:SOFTIRQ_BACKLOG] == tuple(state.handled)
+        assert block[SOFTIRQ_BACKLOG] == len(state.soft_costs)
+        assert block[BH_EXECUTED] == state.bh_executed
+    cpu1 = FIRST_CPU + CPU_FIELDS
+    assert snap[cpu1 + PENDING + IrqVector.CQ] == 1
+    assert snap[cpu1 + SOFTIRQ_BACKLOG] == 1
+    assert snap[FIRST_CPU + HANDLED + IrqVector.NIC] == 1
+    assert snap[FIRST_CPU + HANDLED + IrqVector.TIMER] == 2
+    assert snap[FIRST_CPU + BH_EXECUTED] == 1
 
 
 def test_irq_busy_until_advances(cluster1):

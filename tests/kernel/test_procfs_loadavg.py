@@ -1,5 +1,15 @@
 """Tests for /proc emulation, load accounting and the kernel module."""
 
+from repro.kernel.interrupts import CPU_FIELDS, FIRST_CPU
+from repro.kernel.loadavg import (
+    BUSY_CPUS,
+    JIFFIES,
+    JIFFY_FIELDS,
+    NR_RUNNING,
+    NR_THREADS,
+    NUM_CPUS,
+    TIME,
+)
 from repro.sim.units import ms, us
 
 
@@ -23,9 +33,9 @@ def test_proc_read_returns_snapshot(cluster1):
     be.spawn("reader", reader)
     cluster1.run(ms(5))
     stats = got[0]
-    assert stats["nr_threads"] == 3  # reader + 2 ksoftirqd
-    assert "jiffies" in stats and len(stats["jiffies"]) == 2
-    assert stats["time"] > 0
+    assert stats[NR_THREADS] == 3  # reader + 2 ksoftirqd
+    assert stats[NUM_CPUS] == 2 and len(stats) == JIFFIES + 2 * JIFFY_FIELDS
+    assert stats[TIME] > 0
 
 
 def test_proc_scan_cost_grows_with_tasks(cluster1):
@@ -80,8 +90,8 @@ def test_snapshot_busy_cpus(cluster1):
     spawn_hogs(be, 2)
     cluster1.run(ms(10))
     snap = be.loadacct.snapshot()
-    assert snap["busy_cpus"] == 2
-    assert snap["nr_running"] == 2
+    assert snap[BUSY_CPUS] == 2
+    assert snap[NR_RUNNING] == 2
 
 
 def test_kmod_irq_stat_read_costs_and_returns(cluster1):
@@ -94,7 +104,7 @@ def test_kmod_irq_stat_read_costs_and_returns(cluster1):
 
     task = be.spawn("reader", reader)
     cluster1.run(ms(5))
-    assert got and "cpus" in got[0]
+    assert got and len(got[0]) == FIRST_CPU + 2 * CPU_FIELDS
     assert task.sys_ns >= be.kmod.IOCTL_COST
     assert be.kmod.reads == 1
 

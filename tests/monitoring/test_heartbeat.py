@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
+from repro.kernel.loadavg import TICKS
 from repro.monitoring.heartbeat import HeartbeatMonitor, NodeHealth
 from repro.sim.units import ms, seconds, us
 
@@ -65,7 +66,7 @@ def test_hung_node_still_answers_rdma(cluster1):
     fe.spawn("reader", reader)
     cluster1.run(cluster1.env.now + ms(10))
     assert got and got[0].ok
-    assert "ticks" in got[0].value
+    assert got[0].value[TICKS] == be.loadacct.ticks
 
 
 def test_heartbeat_all_alive(cluster2):

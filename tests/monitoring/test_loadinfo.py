@@ -4,20 +4,23 @@ from repro.monitoring.loadinfo import LoadCalculator, LoadInfo
 
 
 def snapshot(time, user=0, sys=0, irq=0, idle=0, **kw):
-    base = {
-        "time": time,
-        "nr_running": kw.get("nr_running", 1),
-        "nr_threads": kw.get("nr_threads", 5),
-        "busy_cpus": kw.get("busy_cpus", 1),
-        "runq_ema": kw.get("runq_ema", 1.0),
-        "loadavg": kw.get("loadavg", (0.5, 0.4, 0.3)),
-        "jiffies": [
-            {"user": user, "sys": sys, "irq": irq, "idle": idle},
-            {"user": user, "sys": sys, "irq": irq, "idle": idle},
-        ],
-        "gauges": kw.get("gauges", {}),
-    }
-    return base
+    """A two-CPU ``kern.load`` record (layout in repro.kernel.loadavg)."""
+    gauges = [item for pair in kw.get("gauges", {}).items() for item in pair]
+    return (
+        time,
+        0,  # ticks
+        kw.get("nr_running", 1),
+        kw.get("nr_threads", 5),
+        kw.get("busy_cpus", 1),
+        kw.get("runq_ema", 1.0),
+        *kw.get("loadavg", (0.5, 0.4, 0.3)),
+        0, 0,  # memory used, total
+        0, 0,  # net rx, tx bytes
+        2,  # CPUs
+        user, sys, irq, idle,
+        user, sys, irq, idle,
+        *gauges,
+    )
 
 
 def test_staleness_computed():
@@ -36,7 +39,7 @@ def test_irq_pressure_zero_without_detail():
 
 
 def test_irq_pressure_sums_cpus():
-    info = LoadInfo(backend="b", collected_at=0, irq_pending=[2, 3])
+    info = LoadInfo(backend="b", collected_at=0, irq_pending=(2, 3))
     assert info.irq_pressure == 5.0
 
 
@@ -66,19 +69,21 @@ def test_calculator_clamps_utilisation():
 
 def test_calculator_attaches_irq_detail():
     calc = LoadCalculator("b")
-    irq_stat = {
-        "cpus": [
-            {"hard_pending": 1, "soft_pending": 2, "handled": {"NIC": 5}, "bh_executed": 3},
-            {"hard_pending": 0, "soft_pending": 1, "handled": {"NIC": 9}, "bh_executed": 4},
-        ],
-        "time": 0,
-    }
+    # (time, then per CPU: pending and handled per vector [TIMER, NIC,
+    # CQ, IPI], softirq backlog, bottom halves executed)
+    irq_stat = (
+        0,
+        0, 1, 0, 0, 0, 5, 0, 0, 2, 3,
+        0, 0, 0, 0, 0, 9, 0, 0, 1, 4,
+    )
     info = calc.compute(snapshot(0), irq_stat)
-    assert info.irq_pending == [3, 1]
-    assert info.irq_handled == [5, 9]
+    assert info.irq_pending == (3, 1)
+    assert info.irq_handled == (5, 9)
 
 
 def test_calculator_copies_gauges():
     calc = LoadCalculator("b")
     info = calc.compute(snapshot(0, gauges={"connections": 7}))
     assert info.gauges == {"connections": 7}
+    info = calc.compute(snapshot(10, gauges={"connections": 7, "queue": 2}))
+    assert info.gauges == {"connections": 7, "queue": 2}

@@ -2,6 +2,7 @@
 
 from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
+from repro.kernel.loadavg import MEM_TOTAL_BYTES, MEM_USED_BYTES
 from repro.monitoring import FrontendMonitor, create_scheme
 from repro.monitoring.loadinfo import LoadCalculator
 from repro.sim.resources import Store
@@ -11,15 +12,15 @@ from repro.sim.units import ms, seconds
 def test_snapshot_reports_memory(cluster1):
     be = cluster1.backends[0]
     snap = be.loadacct.snapshot()
-    assert snap["mem_total_bytes"] == 1 << 30
-    base = snap["mem_used_bytes"]
+    assert snap[MEM_TOTAL_BYTES] == 1 << 30
+    base = snap[MEM_USED_BYTES]
 
     def idle_task(k):
         yield k.sleep(seconds(10))
 
     be.spawn("fat", idle_task, rss_bytes=64 * 1024 * 1024)
     snap = be.loadacct.snapshot()
-    assert snap["mem_used_bytes"] == base + 64 * 1024 * 1024
+    assert snap[MEM_USED_BYTES] == base + 64 * 1024 * 1024
 
 
 def test_kthreads_carry_no_rss(cluster1):
@@ -28,32 +29,27 @@ def test_kthreads_carry_no_rss(cluster1):
     assert be.sched.rss_total() == 0
 
 
+def _record(time, mem_used, mem_total, net_rx, net_tx):
+    """A one-CPU, gauge-less ``kern.load`` record (layout in
+    repro.kernel.loadavg)."""
+    return (time, 0, 0, 1, 0, 0.0, 0.0, 0.0, 0.0,
+            mem_used, mem_total, net_rx, net_tx,
+            1, 0, 0, 0, 0)
+
+
 def test_calculator_mem_util():
     calc = LoadCalculator("b")
-    snap = {
-        "time": 1000, "nr_running": 0, "nr_threads": 1, "busy_cpus": 0,
-        "runq_ema": 0.0, "loadavg": (0, 0, 0),
-        "jiffies": [{"user": 0, "sys": 0, "irq": 0, "idle": 0}],
-        "gauges": {}, "mem_used_bytes": 256, "mem_total_bytes": 1024,
-        "net_rx_bytes": 0, "net_tx_bytes": 0,
-    }
-    info = calc.compute(snap)
+    info = calc.compute(_record(1000, mem_used=256, mem_total=1024, net_rx=0, net_tx=0))
     assert info.mem_util == 0.25
 
 
 def test_calculator_net_rate_from_deltas():
     calc = LoadCalculator("b")
-    base = {
-        "nr_running": 0, "nr_threads": 1, "busy_cpus": 0,
-        "runq_ema": 0.0, "loadavg": (0, 0, 0),
-        "jiffies": [{"user": 0, "sys": 0, "irq": 0, "idle": 0}],
-        "gauges": {}, "mem_used_bytes": 0, "mem_total_bytes": 1,
-    }
-    info = calc.compute({**base, "time": 0, "net_rx_bytes": 0, "net_tx_bytes": 0})
+    info = calc.compute(_record(0, mem_used=0, mem_total=1, net_rx=0, net_tx=0))
     assert info.net_rate_mbps == 0.0  # no baseline yet
     # 1 MB in 10 ms -> 100 MB/s
-    info = calc.compute({**base, "time": 10_000_000,
-                         "net_rx_bytes": 500_000, "net_tx_bytes": 500_000})
+    info = calc.compute(_record(10_000_000, mem_used=0, mem_total=1,
+                                net_rx=500_000, net_tx=500_000))
     assert abs(info.net_rate_mbps - 100.0) < 1e-6
 
 

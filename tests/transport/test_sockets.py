@@ -1,5 +1,6 @@
 """Tests for the socket transport: round trips, blocking, load effects."""
 
+from repro.kernel.loadavg import NR_THREADS
 from repro.sim.units import ms, us
 from repro.transport.sockets import Listener, socket_pair
 
@@ -160,7 +161,7 @@ def test_socket_latency_grows_under_receiver_load(cluster2):
         while True:
             yield from eb.recv(k)
             stats = yield from be.procfs.read_stat(k)
-            yield from eb.send(k, stats["nr_threads"], 64)
+            yield from eb.send(k, stats[NR_THREADS], 64)
 
     def measure(tag, n=10):
         def body(k):
