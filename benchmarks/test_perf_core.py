@@ -8,11 +8,14 @@ on a federated N=512 cluster and a cluster-size sweep
 
 Headline acceptance: the overhauled core clears **>= 2x** the legacy
 engine's events/sec on the microbench. The hard assertion below uses a
-1.5x guard band for noisy shared CI machines; the archived ratio in
-``results/BENCH_core.json`` is 1.92x, the median of five runs on a
-2-vCPU x86-64 guest under CPython 3.11. Eight runs there spanned
-1.27x-2.90x: legacy and current are timed one after the other, so a
-host that changes speed between them moves the ratio.
+1.5x guard band for noisy shared CI machines. The two cores are timed
+in ``MICROBENCH_ROUNDS`` alternating rounds, one run per core each,
+with the core that runs first swapping every round, and each core keeps
+its best run. A host that changes speed during the measurement thus
+slows both cores alike instead of only the one timed second, which is
+what spread back-to-back best-of-3 timings over 1.27x-2.90x. The
+archived ratio in ``results/BENCH_core.json`` is 1.73x, the median of
+nine runs on a 2-vCPU x86-64 guest under CPython 3.11 (1.56x-1.91x).
 
 The second acceptance point is scale: a three-level federated N=4096
 cluster must hold every tier's worst poll round — leaf, region, root —
@@ -31,12 +34,25 @@ from repro.sim.units import MILLISECOND
 SPEEDUP_TARGET = 2.0
 #: the flake-proof floor actually asserted on shared CI hardware
 SPEEDUP_GUARD = 1.5
+#: alternating legacy/current rounds of the event-loop microbench
+MICROBENCH_ROUNDS = 5
+
+
+def interleaved_microbench():
+    """Each core's best microbench run over alternating rounds."""
+    engines = {"legacy": _legacy_core, "current": None}
+    runs = {side: [] for side in engines}
+    for i in range(MICROBENCH_ROUNDS):
+        order = ("legacy", "current") if i % 2 == 0 else ("current", "legacy")
+        for side in order:
+            runs[side].append(perf_core.event_loop_microbench(
+                repeats=1, engine_module=engines[side]))
+    return tuple(min(runs[side], key=lambda r: r["wall_s"]) for side in engines)
 
 
 def test_perf_core(benchmark, record, results_dir):
     def probe():
-        legacy = perf_core.event_loop_microbench(engine_module=_legacy_core)
-        current = perf_core.event_loop_microbench()
+        legacy, current = interleaved_microbench()
         sweep = perf_core.scalability_wallclock()
         # The headline acceptance point gets the best-of treatment the
         # microbench already has; the sweep stays single-shot (it only
@@ -58,7 +74,7 @@ def test_perf_core(benchmark, record, results_dir):
         title="Simulator wall-clock — federated cluster, 50 ms simulated",
     ) + (
         f"\n\nevent-loop microbench ({int(legacy['n_events'])} chained "
-        f"timeouts, best of 3):\n"
+        f"timeouts, best of {MICROBENCH_ROUNDS} alternating rounds):\n"
         f"  legacy core : {legacy['events_per_sec'] / 1e3:8.0f}k events/s\n"
         f"  current core: {current['events_per_sec'] / 1e3:8.0f}k events/s\n"
         f"  speedup     : {speedup:.2f}x (target >= {SPEEDUP_TARGET}x)"

@@ -155,9 +155,8 @@ class NetConfig:
     #: CPU cost of the TCP/IP transmit path per message (send syscall
     #: excluded; copies excluded — added per KB)
     tcp_tx_cost: int = 12 * US
-    #: CPU cost in softirq context per received message is in IrqConfig
-    #: (softirq_per_packet); this is the extra socket-layer delivery cost
-    socket_deliver_cost: int = 3 * US
+    # CPU cost in softirq context per received message is in IrqConfig
+    # (softirq_per_packet).
     #: TCP/IP header + IPoIB encapsulation overhead per message, bytes
     tcp_overhead_bytes: int = 94
 
@@ -552,7 +551,6 @@ class SimConfig:
     #: the paper uses 8 dedicated dual-CPU client nodes)
     client_cpus: int = 8
     master_seed: int = field(default_factory=lambda: _DEFAULT_MASTER_SEED)
-    trace: bool = False
     cpu: CpuConfig = field(default_factory=CpuConfig)
     irq: IrqConfig = field(default_factory=IrqConfig)
     syscall: SyscallConfig = field(default_factory=SyscallConfig)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.congestion.dcqcn import FlowState
 from repro.hw.switch import CongestionSwitch
@@ -102,9 +102,9 @@ class CongestionPlane:
         self._txq: Dict[str, _TxQueue] = {}
         #: absolute time each TX port's PFC pause lifts
         self._pause_until: Dict[str, int] = {}
-        #: telemetry hook: called with one event dict per enqueue /
-        #: pause / CNP (chain, don't replace — see attach_congestion)
-        self.on_event: Optional[Callable[[dict], None]] = None
+        #: called in order with one event dict per enqueue / pause / CNP
+        #: (telemetry appends here — see attach_congestion)
+        self.observers: List[Callable[[dict], None]] = []
         self.cnps_generated = 0
         self.cnps_delivered = 0
         self.cnps_coalesced = 0
@@ -317,12 +317,14 @@ class CongestionPlane:
         rx.messages += 1
         arrival = rx_start + ser_rx + hop
 
-        if self.on_event is not None:
-            self.on_event({
+        if self.observers:
+            event = {
                 "kind": "enqueue", "t": now, "port": port.index,
                 "nic": dst.name, "depth": depth_before + nbytes,
                 "marked": marked, "mark_rate": port.mark_rate,
-            })
+            }
+            for fn in self.observers:
+                fn(event)
         t = env.timeout(arrival - now, priority=EventPriority.HIGH)
         assert t.callbacks is not None
         if marked and flow is not None:
@@ -359,11 +361,13 @@ class CongestionPlane:
                        "resume_at": resume_at})
             if span is not None:
                 spans.end(span)
-        if self.on_event is not None:
-            self.on_event({
+        if self.observers:
+            event = {
                 "kind": "pause", "t": self.env.now, "port": port.index,
                 "nic": port.name, "src": src.name, "pause_ns": gained,
-            })
+            }
+            for fn in self.observers:
+                fn(event)
 
     def _on_marked_arrival(self, flow: FlowState, src: "Nic", dst: "Nic") -> None:
         """Receiver saw a CE-marked packet: maybe generate a CNP."""
@@ -399,11 +403,13 @@ class CongestionPlane:
                        "rate_after": after})
             if span is not None:
                 spans.end(span)
-        if self.on_event is not None:
-            self.on_event({
+        if self.observers:
+            event = {
                 "kind": "cnp", "t": now, "src": src.name, "dst": dst.name,
                 "rate": after,
-            })
+            }
+            for fn in self.observers:
+                fn(event)
 
     # ------------------------------------------------------------------
     def flows(self) -> Dict[Tuple[str, str], FlowState]:

@@ -124,7 +124,7 @@ def run_incast(
         assert t.callbacks is not None
         t.callbacks.append(sample_age)
 
-    fed.root.round_observer = observer
+    fed.root.round_observers.append(observer)
     sample_age()
     sim.run(duration)
     plane = sim.congestion
@@ -235,7 +235,7 @@ def run_one_scheme(
             for info in latest.values():
                 staleness.append(info.staleness)
 
-        app.federation.root.round_observer = observer
+        app.federation.root.round_observers.append(observer)
     workload = RubisWorkload(
         app.sim, app.dispatcher,
         num_clients=num_clients, think_time=3 * MILLISECOND,

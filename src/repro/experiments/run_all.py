@@ -16,13 +16,16 @@ runs the experiment in isolation — simulations are single-threaded, so
 cores multiply throughput with zero determinism risk (same (experiment,
 seed) job → same output regardless of scheduling). The run always
 finishes by merging every job's outcome into
-``results/BENCH_run_all.json`` (schema v2, one record per job).
+``results/BENCH_run_all.json`` (schema v2, one record per job): a
+subset run replaces the records of the artifacts it produced and keeps
+every other record already in the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import json
 import os
 import pathlib
 import sys
@@ -161,6 +164,7 @@ def _run_job(name: str, full: bool, seed: Optional[int]) -> dict:
         "experiment": name,
         "seed": seed,
         "artifact": _artifact_name(name, seed),
+        "full": full,
         "ok": ok,
         "error": error,
         "wall_s": round(time.time() - started, 3),
@@ -170,10 +174,28 @@ def _run_job(name: str, full: bool, seed: Optional[int]) -> dict:
 
 def _merge_bench(out_dir: pathlib.Path, jobs: list, workers: int,
                  full: bool, wall_s: float) -> pathlib.Path:
-    """Fold every job record into the schema-v2 BENCH_run_all baseline."""
-    from repro.analysis.bench import write_bench
+    """Fold this run's job records into the schema-v2 BENCH_run_all baseline.
+
+    Records already in the file (same schema version) survive unless
+    this run produced their artifact again. Each record carries its own
+    ``full`` flag, so a quick record never passes for a full one; the
+    top-level ``workers`` / ``full`` / ``wall_s`` describe this run.
+    """
+    from repro.analysis.bench import BENCH_SCHEMA_VERSION, write_bench
 
     records = [{k: v for k, v in job.items() if k != "text"} for job in jobs]
+    produced = {r["artifact"] for r in records}
+    try:
+        old = json.loads((out_dir / "BENCH_run_all.json").read_text())
+    except (OSError, ValueError):
+        old = {}
+    if old.get("schema_version") == BENCH_SCHEMA_VERSION:
+        for record in old.get("jobs", []):
+            if record["artifact"] not in produced:
+                record.setdefault("full", old.get("full", False))
+                records.append(record)
+    # Stable artifact order regardless of completion order.
+    records.sort(key=lambda r: (str(r["seed"]), r["experiment"]))
     return write_bench(out_dir, "run_all", {
         "workers": workers,
         "full": full,
@@ -231,8 +253,6 @@ def main(argv=None) -> int:
             for future in concurrent.futures.as_completed(futures):
                 done.append(future.result())
                 _report(done[-1], out_dir)
-    # Stable artifact order regardless of completion order.
-    done.sort(key=lambda j: (str(j["seed"]), j["experiment"]))
     bench = _merge_bench(out_dir, done, workers, args.full,
                          time.time() - started)
     failed = [j for j in done if not j["ok"]]

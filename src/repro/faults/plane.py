@@ -127,8 +127,9 @@ class FaultPlane:
         self._installed = False
         #: applied/revoked action log, in time order
         self.records: List[FaultRecord] = []
-        #: observer called with each FaultRecord (telemetry hooks in here)
-        self.on_event: Optional[Callable[[FaultRecord], None]] = None
+        #: called in order with each FaultRecord (telemetry, federation
+        #: quarantine and experiment probes append here)
+        self.observers: List[Callable[[FaultRecord], None]] = []
         # counters
         self.applied = 0
         self.revoked = 0
@@ -136,26 +137,6 @@ class FaultPlane:
         self.naks_injected = 0
         self.mrs_invalidated = 0
         self._backend_index = {be.name: i for i, be in enumerate(sim.backends)}
-
-    # ------------------------------------------------------------------
-    def subscribe(self, fn: Callable[[FaultRecord], None]) -> "FaultPlane":
-        """Add an ``on_event`` listener, preserving any existing one.
-
-        The multi-consumer form of the hook: telemetry, the federation
-        topology's quarantine driver and experiment probes can all
-        listen without clobbering each other (same chaining discipline
-        as the telemetry pipeline's ``attach`` helpers).
-        """
-        previous = self.on_event
-        if previous is None:
-            self.on_event = fn
-        else:
-            def chained(record: FaultRecord) -> None:
-                previous(record)
-                fn(record)
-
-            self.on_event = chained
-        return self
 
     # ------------------------------------------------------------------
     def install(self) -> "FaultPlane":
@@ -210,16 +191,14 @@ class FaultPlane:
             detail=event.describe(),
         )
         self.records.append(record)
-        self.sim.tracer.emit(self.env.now, "fault",
-                             f"{'apply' if active else 'revoke'} {event.describe()}")
         spans = self.sim.spans
         if spans is not None and spans.enabled:
             span = spans.start_trace(
                 f"fault:{event.kind}", node=target or "fabric", component="faults",
                 attrs={"active": active, "detail": event.describe()})
             spans.end(span)
-        if self.on_event is not None:
-            self.on_event(record)
+        for fn in self.observers:
+            fn(record)
 
     # -- node faults ----------------------------------------------------
     def _apply_crash(self, event: CrashNode) -> None:

@@ -18,7 +18,7 @@ the quarantine wiring (fault plane + heartbeat → topology).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.federation.leaf import LeafMonitor
 from repro.federation.snapshot import ShardSnapshot, merge_digest_states
@@ -85,9 +85,10 @@ class FederatedMonitor:
         #: per-round wall time (fan-out reads + merges), ns
         self.rounds: List[int] = []
         self.read_failures = 0
-        #: fired once per merge round with ``(epoch, latest)`` — the
-        #: telemetry shard-rollup hook (chain, don't replace)
-        self.round_observer = None
+        #: called in order with ``(epoch, latest)`` once per merge round
+        #: (telemetry shard rollups, snapshot writers); ``latest`` is one
+        #: copy of the merged view, shared by every subscriber
+        self.round_observers: List[Callable[[int, Dict[int, LoadInfo]], None]] = []
         self._stopped = False
         self._task: Optional["Task"] = None
 
@@ -171,8 +172,10 @@ class FederatedMonitor:
             if span is not None:
                 spans.end(span, attrs={"epoch": self.epoch,
                                        "merged": len(snaps)})
-            if self.round_observer is not None:
-                self.round_observer(self.epoch, dict(self.latest))
+            if self.round_observers:
+                latest = dict(self.latest)
+                for fn in self.round_observers:
+                    fn(self.epoch, latest)
             yield k.sleep(self.interval)
 
     def _rebuild_digests(self) -> None:
@@ -242,19 +245,12 @@ class Federation:
 
     def attach_faults(self, plane) -> "Federation":
         """Subscribe quarantine handling to a fault plane."""
-        plane.subscribe(self.on_fault)
+        plane.observers.append(self.on_fault)
         return self
 
     def attach_heartbeat(self, heartbeat) -> "Federation":
-        """Chain quarantine handling onto a heartbeat monitor."""
-        previous = heartbeat.observer
-
-        def observer(record) -> None:
-            if previous is not None:
-                previous(record)
-            self.on_health(record)
-
-        heartbeat.observer = observer
+        """Subscribe quarantine handling to a heartbeat monitor."""
+        heartbeat.observers.append(self.on_health)
         return self
 
 
@@ -295,7 +291,7 @@ def deploy_federation(
     leaf_nodes: List[Node] = []
     base_index = sim.cfg.num_backends + 2  # after frontend/backends/clients
     for j in range(topology.num_shards):
-        node = Node(sim.env, sim.cfg, f"leaf{j}", base_index + j, tracer=sim.tracer)
+        node = Node(sim.env, sim.cfg, f"leaf{j}", base_index + j)
         sim.fabric.attach(node.nic)
         node.span_tracer = sim.spans
         node.boot()
@@ -316,8 +312,7 @@ def deploy_federation(
         groups = ShardTopology._split(list(range(topology.num_shards)), nregions)
         rbase = base_index + topology.num_shards
         for r, leaf_idx in enumerate(groups):
-            node = Node(sim.env, sim.cfg, f"region{r}", rbase + r,
-                        tracer=sim.tracer)
+            node = Node(sim.env, sim.cfg, f"region{r}", rbase + r)
             sim.fabric.attach(node.nic)
             node.span_tracer = sim.spans
             node.boot()

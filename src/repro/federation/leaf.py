@@ -38,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class ShardView:
     """A ``ClusterSim``-shaped facade scoping a scheme to one shard.
 
-    Monitoring schemes only touch ``env / cfg / rng / tracer / spans /
-    faults / frontend / backends``; presenting the leaf node as the
+    Monitoring schemes only touch ``env / cfg / rng / spans / faults /
+    frontend / backends``; presenting the leaf node as the
     front-end and the shard members as the cluster lets every registered
     scheme deploy against a shard without modification.
     """
@@ -48,7 +48,6 @@ class ShardView:
         self.env = sim.env
         self.cfg = sim.cfg
         self.rng = sim.rng
-        self.tracer = sim.tracer
         self.spans = sim.spans
         self.faults = getattr(sim, "faults", None)
         self.frontend = leaf_node

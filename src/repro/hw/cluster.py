@@ -3,8 +3,8 @@
 ``build_cluster`` assembles one lightly-loaded front-end node plus N
 back-end server nodes, all attached to a single non-blocking switch,
 boots every kernel, and returns a :class:`ClusterSim` handle bundling
-the environment, config, RNG registry and tracer that every other layer
-consumes.
+the environment, config, RNG registry and span tracer that every other
+layer consumes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.hw.fabric import Fabric
 from repro.hw.node import Node
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
 from repro.tracing.span import SpanTracer
 
 
@@ -28,7 +27,6 @@ class ClusterSim:
     env: Environment
     cfg: SimConfig
     rng: RngRegistry
-    tracer: Tracer
     fabric: Fabric
     frontend: Node
     backends: List[Node] = field(default_factory=list)
@@ -91,7 +89,6 @@ def build_cluster(cfg: SimConfig | None = None) -> ClusterSim:
     cfg.validate()
     env = Environment()
     rng = RngRegistry(cfg.master_seed)
-    tracer = Tracer(enabled=cfg.trace)
     spans = SpanTracer(
         env,
         rng=rng.stream("tracing"),
@@ -101,12 +98,12 @@ def build_cluster(cfg: SimConfig | None = None) -> ClusterSim:
     )
     fabric = Fabric(env, cfg)
 
-    frontend = Node(env, cfg, "frontend", 0, tracer=tracer)
+    frontend = Node(env, cfg, "frontend", 0)
     backends = [
-        Node(env, cfg, f"backend{i}", i + 1, tracer=tracer)
+        Node(env, cfg, f"backend{i}", i + 1)
         for i in range(cfg.num_backends)
     ]
-    clients = Node(env, cfg, "clients", cfg.num_backends + 1, tracer=tracer,
+    clients = Node(env, cfg, "clients", cfg.num_backends + 1,
                    num_cpus=cfg.client_cpus)
     for node in [frontend, *backends, clients]:
         fabric.attach(node.nic)
@@ -131,7 +128,6 @@ def build_cluster(cfg: SimConfig | None = None) -> ClusterSim:
         env=env,
         cfg=cfg,
         rng=rng,
-        tracer=tracer,
         fabric=fabric,
         frontend=frontend,
         backends=backends,

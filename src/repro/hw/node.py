@@ -20,7 +20,6 @@ from repro.kernel.netstack import NetStack
 from repro.kernel.procfs import ProcFs
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.task import Task
-from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import SimConfig
@@ -41,14 +40,12 @@ class Node:
         cfg: "SimConfig",
         name: str,
         index: int,
-        tracer: Tracer | None = None,
         num_cpus: int | None = None,
     ) -> None:
         self.env = env
         self.cfg = cfg
         self.name = name
         self.index = index
-        self.tracer = tracer if tracer is not None else Tracer(enabled=cfg.trace)
         #: causal span tracer (attached by build_cluster; None = untraced)
         self.span_tracer = None
         #: CPUs on this node (the client farm gets more than the servers)
@@ -161,7 +158,6 @@ class Node:
         # restart dispatching on every idle CPU.
         self.sched.requeue_orphans()
         self.sched.kick()
-        self.tracer.emit(self.env.now, "node.recover", self.name)
 
     # ------------------------------------------------------------------
     def spawn(

@@ -245,9 +245,6 @@ class IrqController:
         state.hard_vectors.append(vector)
         state.hard_costs.append(cost)
         state.hard_actions.append(action)
-        tracer = self.node.tracer
-        if tracer.enabled:
-            tracer.emit(self.env.now, "irq.raise", (cpu_index, vector.name))
         if not state.in_service:
             state.enter_service()
 

@@ -118,7 +118,6 @@ class Scheduler:
         task.counter = task.static_prio_ticks
         task.state = TaskState.READY
         self.tasks.append(task)
-        self.node.tracer.emit(self.env.now, "sched.spawn", task.name)
         self._enqueue(task)
         self._try_preempt_for(task)
         return task
@@ -146,7 +145,6 @@ class Scheduler:
         task.wakeups += 1
         self.total_wakeups += 1
         self._enqueue(task)
-        self.node.tracer.emit(self.env.now, "sched.wake", task.name)
         self._try_preempt_for(task, boost=boost)
 
     def nr_running(self) -> int:
@@ -325,9 +323,6 @@ class Scheduler:
         task.on_cpu = -1
         task.state = TaskState.READY
         self._enqueue(task)
-        tracer = self.node.tracer
-        if tracer.enabled:
-            tracer.emit(self.env.now, "sched.preempt", task.name)
         self._schedule(cpu)
 
     def _sync_cpu(self, cpu: CpuState) -> None:
@@ -376,7 +371,6 @@ class Scheduler:
         for task in self.tasks:
             task.counter = min(cap, task.counter // 2 + task.static_prio_ticks)
         cost = self.cfg.cpu.recalc_base + self.cfg.cpu.recalc_per_task * len(self.tasks)
-        self.node.tracer.emit(self.env.now, "sched.epoch", len(self.tasks))
         self._pending_recalc_cost = cost
         return cost
 
@@ -409,9 +403,6 @@ class Scheduler:
         task.on_cpu = cpu.index
         task.last_cpu = cpu.index
         task.dispatches += 1
-        tracer = self.node.tracer
-        if tracer.enabled:
-            tracer.emit(self.env.now, "sched.dispatch", task.name)
         self._begin_or_advance(cpu)
 
     def _begin_or_advance(self, cpu: CpuState) -> None:
@@ -464,9 +455,6 @@ class Scheduler:
             cpu.dispatch_seq += 1
             cpu.current = None
             self._enqueue(task)
-            tracer = self.node.tracer
-            if tracer.enabled:
-                tracer.emit(self.env.now, "sched.preempt", task.name)
             self._schedule(cpu)
             return
         self._begin_or_advance(cpu)
@@ -549,7 +537,6 @@ class Scheduler:
         task._wait_version += 1
         cpu.dispatch_seq += 1
         cpu.current = None
-        self.node.tracer.emit(self.env.now, "sched.block", task.name)
         self._schedule(cpu)
 
     def _wake_if_current(self, task: Task, version: int) -> None:
@@ -568,7 +555,6 @@ class Scheduler:
             pass
         cpu.dispatch_seq += 1
         cpu.current = None
-        self.node.tracer.emit(self.env.now, "sched.exit", task.name)
         if exc is not None:
             task.done.fail(exc)
         else:

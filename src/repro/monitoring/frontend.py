@@ -4,8 +4,9 @@ Wraps a deployed scheme in the periodic poll the paper's front-end
 monitoring process runs: every ``interval`` it performs a batched
 ``query_all`` and caches the latest LoadInfo per back-end for the load
 balancer / admission controller to consult synchronously. Also records
-(time, info) history and an optional per-poll observer hook used by the
-accuracy experiments to compare reports against instantaneous truth.
+(time, info) history and hands every report to the ``observers`` list
+(telemetry, and the accuracy experiments comparing reports against
+instantaneous truth).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class FrontendMonitor:
         self,
         scheme: MonitoringScheme,
         interval: Optional[int] = None,
-        observer: Optional[Callable[[int, LoadInfo], None]] = None,
         name: str = "frontend-monitor",
         history_limit: Optional[int] = None,
     ) -> None:
@@ -40,11 +40,10 @@ class FrontendMonitor:
         self.interval = interval if interval is not None else scheme.interval
         if self.interval <= 0:
             raise ValueError("poll interval must be positive")
-        self.observer = observer
-        #: fired once per completed poll round with ``(epoch, infos)`` —
-        #: the federation / telemetry shard-rollup hook (chain, don't
-        #: replace, like ``observer``)
-        self.round_observer: Optional[Callable[[int, Dict[int, LoadInfo]], None]] = None
+        #: called in order with ``(backend, info)`` for each delivered report
+        self.observers: List[Callable[[int, LoadInfo], None]] = []
+        #: called in order with ``(epoch, infos)`` once per completed round
+        self.round_observers: List[Callable[[int, Dict[int, LoadInfo]], None]] = []
         #: monotonic poll-round counter (stamps mergeable snapshots)
         self.epoch = 0
         self.name = name
@@ -83,8 +82,8 @@ class FrontendMonitor:
             for i, info in infos.items():
                 self._record(i, info)
             self.epoch += 1
-            if self.round_observer is not None:
-                self.round_observer(self.epoch, infos)
+            for fn in self.round_observers:
+                fn(self.epoch, infos)
             yield k.sleep(self.interval)
 
     def _record(self, i: int, info: LoadInfo) -> None:
@@ -97,8 +96,8 @@ class FrontendMonitor:
             # bound — amortised O(1) per record, unlike per-append del.
             self.history_dropped += len(self.history) - limit
             self.history = self.history[-limit:]
-        if self.observer is not None:
-            self.observer(i, info)
+        for fn in self.observers:
+            fn(i, info)
 
     # ------------------------------------------------------------------
     def load_of(self, backend_index: int) -> Optional[LoadInfo]:

@@ -58,11 +58,8 @@ class HeartbeatMonitor:
         interval: int = 50_000_000,  # 50 ms
         timeout: int = 10_000_000,  # 10 ms — far above a healthy RTT
         hung_after: int = 2,
-        observer: Optional[Callable[[HealthRecord], None]] = None,
     ) -> None:
-        """``hung_after``: consecutive frozen-tick probes before HUNG.
-        ``observer``: called with each :class:`HealthRecord` transition
-        (the telemetry alert engine hooks in here)."""
+        """``hung_after``: consecutive frozen-tick probes before HUNG."""
         if interval <= 0 or timeout <= 0:
             raise ValueError("interval and timeout must be positive")
         if hung_after < 1:
@@ -71,7 +68,9 @@ class HeartbeatMonitor:
         self.interval = interval
         self.timeout = timeout
         self.hung_after = hung_after
-        self.observer = observer
+        #: called in order with each :class:`HealthRecord` transition
+        #: (the telemetry alert engine and federation quarantine)
+        self.observers: List[Callable[[HealthRecord], None]] = []
         self.state: Dict[int, NodeHealth] = {
             i: NodeHealth.ALIVE for i in range(len(sim.backends))
         }
@@ -102,8 +101,8 @@ class HeartbeatMonitor:
         self.state[backend] = state
         record = HealthRecord(now, backend, state)
         self.transitions.append(record)
-        if self.observer is not None:
-            self.observer(record)
+        for fn in self.observers:
+            fn(record)
 
     def _body(self, k):
         env = self.sim.env

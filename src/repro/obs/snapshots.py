@@ -48,17 +48,13 @@ class SnapshotWriter:
     def attach(self, monitor) -> "SnapshotWriter":
         """Snapshot every ``every``-th monitoring round.
 
-        ``monitor`` is anything with the ``round_observer`` hook — the
+        ``monitor`` is anything with a ``round_observers`` list — the
         flat :class:`~repro.monitoring.frontend.FrontendMonitor` or the
-        federated root. Chains onto any observer already installed.
+        federated root.
         """
-        previous = monitor.round_observer
-
-        def observer(epoch: int, latest) -> None:
-            if previous is not None:
-                previous(epoch, latest)
-            if epoch % self.every == 0:
-                self.write(epoch)
-
-        monitor.round_observer = observer
+        monitor.round_observers.append(self._on_round)
         return self
+
+    def _on_round(self, epoch: int, latest) -> None:
+        if epoch % self.every == 0:
+            self.write(epoch)

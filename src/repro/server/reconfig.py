@@ -195,7 +195,6 @@ class ElasticScaler:
         cooldown: int = 0,
         federation=None,
         health=None,
-        observer: Optional[Callable[[dict], None]] = None,
     ) -> None:
         n = len(sim.backends)
         if interval <= 0:
@@ -226,7 +225,8 @@ class ElasticScaler:
         self.down_after = down_after
         self.federation = federation
         self.health = health
-        self.observer = observer
+        #: called in order with each evaluation and scale-move event dict
+        self.observers: List[Callable[[dict], None]] = []
         #: serving set (low indices first, like the static assignment)
         self.active: Set[int] = set(range(initial_active))
         #: the reserve, released lowest-index first
@@ -291,9 +291,11 @@ class ElasticScaler:
             return  # no coverage yet: not an observation of idleness
         self.evaluations += 1
         self.samples.append((now, mean, len(self.active)))
-        if self.observer is not None:
-            self.observer({"kind": "eval", "t": now, "mean_load": mean,
-                           "active": len(self.active)})
+        if self.observers:
+            event = {"kind": "eval", "t": now, "mean_load": mean,
+                     "active": len(self.active)}
+            for fn in self.observers:
+                fn(event)
         if mean > self.high_water:
             self._over += 1
             self._under = 0
@@ -336,10 +338,12 @@ class ElasticScaler:
                 attrs={"backend": backend, "mean_load": round(mean, 4),
                        "active": len(self.active)})
             tracer.end(span)
-        if self.observer is not None:
-            self.observer({"kind": "scale", "t": now, "direction": direction,
-                           "backend": backend, "mean_load": mean,
-                           "active": len(self.active)})
+        if self.observers:
+            event = {"kind": "scale", "t": now, "direction": direction,
+                     "backend": backend, "mean_load": mean,
+                     "active": len(self.active)}
+            for fn in self.observers:
+                fn(event)
 
 
 class PooledBalancer:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 @dataclass
@@ -60,11 +60,11 @@ class RequestStats:
     completed: List[Request] = field(default_factory=list)
     rejected_count: int = 0
     timeout_count: int = 0
-    #: called with every recorded request — rejected and timed-out ones
-    #: included (a :class:`~repro.workloads.traces.TraceRecorder` hooks
-    #: in here to capture the full arrival stream); one attribute check
-    #: when unset, so unobserved runs are untouched
-    observer: Optional[Any] = None
+    #: called in order with every recorded request — rejected and
+    #: timed-out ones included (a :class:`~repro.workloads.traces.
+    #: TraceRecorder` appends here to capture the full arrival stream)
+    observers: List[Callable[[Request], None]] = field(
+        default_factory=list, init=False)
 
     def record(self, request: Request) -> None:
         if request.rejected:
@@ -74,8 +74,8 @@ class RequestStats:
             self.timeout_count += 1
         else:
             self.completed.append(request)
-        if self.observer is not None:
-            self.observer(request)
+        for fn in self.observers:
+            fn(request)
 
     # ------------------------------------------------------------------
     def count(self) -> int:

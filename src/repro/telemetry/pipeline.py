@@ -1,9 +1,9 @@
 """Wiring: FrontendMonitor observations → rings, digests, alerts.
 
 :class:`TelemetryPipeline` is a passive observer. Attaching it to a
-:class:`~repro.monitoring.frontend.FrontendMonitor` chains onto the
-monitor's observer hook (preserving any experiment observer already
-installed) so every delivered :class:`LoadInfo` is fanned out to
+:class:`~repro.monitoring.frontend.FrontendMonitor` appends it to the
+monitor's ``observers`` list (after any subscriber already there), so
+every delivered :class:`LoadInfo` is fanned out to
 
 * the bounded :class:`~repro.telemetry.ringstore.RingStore`
   (per-back-end, per-metric rings, keyed ``b<i>.<metric>``),
@@ -88,141 +88,92 @@ class TelemetryPipeline:
         self.engine = AlertEngine(rules if rules is not None else default_rules())
         self._digests: Dict[str, StreamingDigest] = {}
         self.observations = 0
-        self._monitor: Optional["FrontendMonitor"] = None
-        self._heartbeat: Optional["HeartbeatMonitor"] = None
 
     # ------------------------------------------------------------------
     def attach(self, monitor: "FrontendMonitor") -> "TelemetryPipeline":
-        """Chain onto the monitor's observer hook (keeps any existing one)."""
-        previous = monitor.observer
-
-        def observer(backend: int, info: LoadInfo) -> None:
-            if previous is not None:
-                previous(backend, info)
-            self.observe(backend, info)
-
-        monitor.observer = observer
-        self._monitor = monitor
+        """Ingest every load report the monitor delivers."""
+        monitor.observers.append(self.observe)
         return self
 
     def attach_heartbeat(self, heartbeat: "HeartbeatMonitor") -> "TelemetryPipeline":
-        """Surface heartbeat transitions as alerts (keeps any existing hook)."""
-        previous = heartbeat.observer
-
-        def observer(record) -> None:
-            if previous is not None:
-                previous(record)
-            self.engine.observe_health(record)
-
-        heartbeat.observer = observer
-        self._heartbeat = heartbeat
+        """Surface heartbeat transitions as alerts."""
+        heartbeat.observers.append(self.engine.observe_health)
         return self
 
     def attach_faults(self, plane) -> "TelemetryPipeline":
-        """Surface injected faults as alerts (keeps any existing hook).
+        """Surface injected faults as alerts.
 
         ``plane`` is a :class:`~repro.faults.plane.FaultPlane`; requires a
         :class:`~repro.telemetry.alerts.FaultRule` in the engine's rule
         set to actually raise anything.
         """
-        previous = plane.on_event
-
-        def observer(record) -> None:
-            if previous is not None:
-                previous(record)
-            self.engine.observe_fault(record)
-
-        plane.on_event = observer
+        plane.observers.append(self.engine.observe_fault)
         return self
 
     def attach_federation(self, federation) -> "TelemetryPipeline":
         """Shard-level rollups + alerts from a federated root view.
 
-        Chains onto the root monitor's ``round_observer`` (keeps any
-        existing hook). Each merge round feeds per-shard aggregates —
-        mean cpu_util / runq_load, max staleness, routable member count
-        — into rings and digests keyed ``s<j>.<metric>``, and evaluates
-        the sample-driven alert rules per shard. Shard alerts are keyed
-        ``backend = -(shard + 1)``: negative ids keep them disjoint
-        from per-back-end alerts and mean shedding policies (which
-        match non-negative back-end indices) never act on them.
+        Each merge round of the root monitor feeds per-shard aggregates
+        — mean cpu_util / runq_load, max staleness, routable member
+        count — into rings and digests keyed ``s<j>.<metric>``, and
+        evaluates the sample-driven alert rules per shard. Shard alerts
+        are keyed ``backend = -(shard + 1)``: negative ids keep them
+        disjoint from per-back-end alerts and mean shedding policies
+        (which match non-negative back-end indices) never act on them.
         """
-        root = federation.root
-        topology = federation.topology
-        previous = root.round_observer
-
-        def observer(epoch: int, latest) -> None:
-            if previous is not None:
-                previous(epoch, latest)
-            self.observe_shards(topology, root, latest)
-
-        root.round_observer = observer
+        topology, root = federation.topology, federation.root
+        root.round_observers.append(
+            lambda epoch, latest: self.observe_shards(topology, root, latest))
         return self
 
     def attach_congestion(self, plane) -> "TelemetryPipeline":
         """Per-port congestion time series from a congestion plane.
 
-        Chains onto the plane's ``on_event`` hook (keeps any existing
-        one). Switch enqueues feed egress-queue depth and ECN mark-rate
-        rings keyed ``sw<p>.depth`` / ``sw<p>.ecn_rate``; PFC pause
-        frames feed ``sw<p>.pause_ns``; delivered CNPs feed the flow's
-        post-cut rate under ``sw<p>.rate`` (``p`` is the victim port's
-        index on the switch). Pure observation: no events scheduled, no
-        simulated time spent.
+        Switch enqueues feed egress-queue depth and ECN mark-rate rings
+        keyed ``sw<p>.depth`` / ``sw<p>.ecn_rate``; PFC pause frames
+        feed ``sw<p>.pause_ns``; delivered CNPs feed the flow's post-cut
+        rate under ``sw<p>.rate`` (``p`` is the victim port's index on
+        the switch). Pure observation: no events scheduled, no simulated
+        time spent.
         """
-        previous = plane.on_event
-
-        def observer(event: dict) -> None:
-            if previous is not None:
-                previous(event)
-            self.observe_congestion(plane, event)
-
-        plane.on_event = observer
+        plane.observers.append(lambda event: self.observe_congestion(plane, event))
         return self
 
     def attach_tenancy(self, plane) -> "TelemetryPipeline":
         """Per-tenant time series + offender alerts from a tenancy plane.
 
-        Chains onto the plane's ``on_event`` hook (keeps any existing
-        one). Each defense window feeds per-tenant attempted-rate rings
-        keyed ``t<k>.<metric>`` and evaluates a ``tenant-offender``
-        threshold rule. Tenant alerts are keyed ``backend =
-        -(1000 + k + 1)``: negative ids keep them disjoint from
-        per-back-end alerts (and the -1…-999 band shard rollups use),
-        and shedding policies never act on them.
+        Each defense window feeds per-tenant attempted-rate rings keyed
+        ``t<k>.<metric>`` and evaluates a ``tenant-offender`` threshold
+        rule. Tenant alerts are keyed ``backend = -(1000 + k + 1)``:
+        negative ids keep them disjoint from per-back-end alerts (and
+        the -1…-999 band shard rollups use), and shedding policies never
+        act on them.
         """
         if not any(r.name == "tenant-offender" for r in self.engine.rules):
             self.engine.add_rule(ThresholdRule(
                 "tenant-offender", metric="offending", fire_above=0.5,
                 severity=Severity.WARNING, sheds=False))
-        previous = plane.on_event
-
-        def observer(event: dict) -> None:
-            if previous is not None:
-                previous(event)
-            self.observe_tenancy(event)
-
-        plane.on_event = observer
+        plane.observers.append(self.observe_tenancy)
         return self
 
     def attach_scaler(self, scaler) -> "TelemetryPipeline":
         """Scaler telemetry: pool-load and active-count time series.
 
-        Chains onto the scaler's ``observer`` hook (keeps any existing
-        one). Every evaluation feeds ``scaler.mean_load`` and
-        ``scaler.active`` rings/digests; scale moves additionally bump
-        ``scaler.moves`` so the decision points are visible next to the
-        load signal that triggered them.
+        Every evaluation feeds ``scaler.mean_load`` and ``scaler.active``
+        rings/digests; scale moves additionally bump ``scaler.moves`` so
+        the decision points are visible next to the load signal that
+        triggered them.
         """
-        previous = scaler.observer
-
-        def observer(event: dict) -> None:
-            if previous is not None:
-                previous(event)
-            self.observe_scaler(event)
-
-        scaler.observer = observer
+        scaler.observers.append(self.observe_scaler)
         return self
+
+    def _add(self, key: str, t: int, value: float) -> None:
+        """Append one sample to ``key``'s ring and fold it into its digest."""
+        self.store.add(key, t, value)
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = self._digests[key] = StreamingDigest(self.compression)
+        digest.update(value)
 
     def observe_scaler(self, event: dict) -> None:
         """Ingest one elastic-scaler event (evaluation or scale move)."""
@@ -230,16 +181,8 @@ class TelemetryPipeline:
         if event.get("kind") == "scale":
             self.store.add("scaler.moves", t, 1.0)
             return
-        sample = {
-            "scaler.mean_load": float(event["mean_load"]),
-            "scaler.active": float(event["active"]),
-        }
-        for key, value in sample.items():
-            self.store.add(key, t, value)
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = StreamingDigest(self.compression)
-            digest.update(value)
+        self._add("scaler.mean_load", t, float(event["mean_load"]))
+        self._add("scaler.active", t, float(event["active"]))
 
     def observe_tenancy(self, event: dict) -> None:
         """Ingest one tenancy-plane event (per-tenant window / action)."""
@@ -255,12 +198,7 @@ class TelemetryPipeline:
             "offending": float(event["offending"]),
         }
         for metric, value in sample.items():
-            key = f"t{tid}.{metric}"
-            self.store.add(key, t, value)
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = StreamingDigest(self.compression)
-            digest.update(value)
+            self._add(f"t{tid}.{metric}", t, value)
         self.engine.observe(-(1000 + tid + 1), t, sample)
 
     def observe_congestion(self, plane, event: dict) -> None:
@@ -268,21 +206,14 @@ class TelemetryPipeline:
         kind = event["kind"]
         t = event["t"]
         if kind == "enqueue":
-            samples = {f"sw{event['port']}.depth": float(event["depth"]),
-                       f"sw{event['port']}.ecn_rate": float(event["mark_rate"])}
+            port = event["port"]
+            self._add(f"sw{port}.depth", t, float(event["depth"]))
+            self._add(f"sw{port}.ecn_rate", t, float(event["mark_rate"]))
         elif kind == "pause":
-            samples = {f"sw{event['port']}.pause_ns": float(event["pause_ns"])}
+            self._add(f"sw{event['port']}.pause_ns", t, float(event["pause_ns"]))
         elif kind == "cnp":
             port = plane.switch.port(event["dst"]).index
-            samples = {f"sw{port}.rate": float(event["rate"])}
-        else:  # pragma: no cover - future event kinds pass through
-            return
-        for key, value in samples.items():
-            self.store.add(key, t, value)
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = StreamingDigest(self.compression)
-            digest.update(value)
+            self._add(f"sw{port}.rate", t, float(event["rate"]))
 
     def observe_shards(self, topology, root, latest) -> None:
         """Ingest one merged root round as per-shard aggregate samples."""
@@ -299,12 +230,7 @@ class TelemetryPipeline:
                 "members": float(len(members)),
             }
             for metric, value in sample.items():
-                key = f"s{j}.{metric}"
-                self.store.add(key, now, value)
-                digest = self._digests.get(key)
-                if digest is None:
-                    digest = self._digests[key] = StreamingDigest(self.compression)
-                digest.update(value)
+                self._add(f"s{j}.{metric}", now, value)
             self.engine.observe(-(j + 1), now, sample)
 
     # ------------------------------------------------------------------
@@ -316,12 +242,7 @@ class TelemetryPipeline:
         for metric in self.metrics:
             value = float(getattr(info, metric))
             sample[metric] = value
-            key = f"b{backend}.{metric}"
-            self.store.add(key, now, value)
-            digest = self._digests.get(key)
-            if digest is None:
-                digest = self._digests[key] = StreamingDigest(self.compression)
-            digest.update(value)
+            self._add(f"b{backend}.{metric}", now, value)
         self.engine.observe(backend, now, sample)
 
     # ------------------------------------------------------------------

@@ -79,9 +79,9 @@ class TenancyPlane:
         #: federation handle (set by the builder) — quarantine triggers
         #: a shard rebalance when present
         self.federation = None
-        #: telemetry hook: called with one dict per tenant per defense
-        #: window ({"kind": "tenant", ...}) and per sanction action
-        self.on_event: Optional[Callable[[dict], None]] = None
+        #: called in order with one dict per tenant per defense window
+        #: ({"kind": "tenant", ...}) and per sanction action
+        self.observers: List[Callable[[dict], None]] = []
         #: sanction log: {"t", "kind": throttle|quarantine|release, "tenant"}
         self.actions: List[dict] = []
         self._nics: Dict[str, _NicState] = {}
@@ -232,15 +232,17 @@ class TenancyPlane:
             offending = (mbps > tn.offend_mbps
                          or d_creates > tn.offend_qp_creates
                          or d_misses > tn.offend_icm_misses)
-            if self.on_event is not None:
-                self.on_event({
+            if self.observers:
+                event = {
                     "kind": "tenant", "t": now, "tenant": tenant.tid,
                     "name": tenant.name, "posted_mbps": mbps,
                     "qp_creates": float(d_creates),
                     "icm_misses": float(d_misses),
                     "denied": float(d_denied),
                     "offending": 1.0 if offending else 0.0,
-                })
+                }
+                for fn in self.observers:
+                    fn(event)
             if not tn.defense:
                 continue
             if offending:
@@ -293,9 +295,11 @@ class TenancyPlane:
                 attrs={"tenant": tenant.tid, **attrs})
             if span is not None:
                 spans.end(span)
-        if self.on_event is not None:
-            self.on_event({"kind": "action", "t": now, "action": kind,
-                           "tenant": tenant.tid, **attrs})
+        if self.observers:
+            event = {"kind": "action", "t": now, "action": kind,
+                     "tenant": tenant.tid, **attrs}
+            for fn in self.observers:
+                fn(event)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

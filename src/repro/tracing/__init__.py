@@ -1,10 +1,10 @@
 """repro.tracing — causal span tracing for the simulated cluster.
 
-Layered on (not replacing) the flat :class:`~repro.sim.trace.Tracer`:
-where the flat tracer records *that* something happened, the span plane
-records *why it took as long as it did* — every request and monitoring
-probe becomes a tree of timed spans with one trace id, exportable to
-Perfetto and analysable for its critical path. See docs/TRACING.md.
+The span plane records *why something took as long as it did*: every
+request and monitoring probe becomes a tree of timed spans with one
+trace id, exportable to Perfetto and analysable for its critical path.
+Finished spans are also handed to the tracer's ``observers`` list (the
+feed :class:`SpanMetrics` appends to). See docs/TRACING.md.
 """
 
 from repro.tracing.analysis import (

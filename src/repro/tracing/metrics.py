@@ -50,7 +50,7 @@ class SpanMetrics:
 
     # ------------------------------------------------------------------
     def attach(self, tracer: SpanTracer) -> "SpanMetrics":
-        tracer.on_end(self.observe)
+        tracer.observers.append(self.observe)
         return self
 
     def observe(self, span: Span) -> None:

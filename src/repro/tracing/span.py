@@ -130,7 +130,9 @@ class SpanTracer:
         self._next_trace = 1
         self._next_span = 1
         self._open = 0
-        self._on_end: List[Callable[[Span], None]] = []
+        #: called in order with every finished span (even ones the bound
+        #: drops) — the hook feeding span-derived telemetry metrics
+        self.observers: List[Callable[[Span], None]] = []
 
     # ------------------------------------------------------------------
     @property
@@ -141,11 +143,6 @@ class SpanTracer:
     def open_spans(self) -> int:
         """Spans started but not yet ended (diagnostics)."""
         return self._open
-
-    def on_end(self, fn: Callable[[Span], None]) -> None:
-        """Invoke ``fn`` for every finished span (even ones the bound
-        drops) — the hook feeding span-derived telemetry metrics."""
-        self._on_end.append(fn)
 
     # ------------------------------------------------------------------
     def start_trace(
@@ -273,7 +270,7 @@ class SpanTracer:
         return span
 
     def _commit(self, span: Span) -> None:
-        for fn in self._on_end:
+        for fn in self.observers:
             fn(span)
         if len(self.spans) >= self.max_spans:
             self.dropped += 1

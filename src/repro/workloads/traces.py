@@ -3,8 +3,8 @@
 Capacity studies and regression comparisons want *identical* request
 streams across runs. A :class:`TraceRecorder` snapshots the request
 stream of any run — either after the fact from the dispatcher's
-statistics, or live via :meth:`TraceRecorder.attach` (which chains onto
-the :class:`~repro.server.request.RequestStats` observer hook, so
+statistics, or live via :meth:`TraceRecorder.attach` (which appends to
+the :class:`~repro.server.request.RequestStats` ``observers`` list, so
 rejected and timed-out arrivals are captured too). Traces persist in a
 **versioned JSON-Lines format**: line 1 is a schema header, every
 further line one entry, both serialised deterministically so that
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.server.request import Request
 from repro.sim.resources import Store
@@ -122,20 +122,13 @@ class TraceRecorder:
     def attach(self, dispatcher: "Dispatcher") -> "TraceRecorder":
         """Record live from the dispatcher's statistics hook.
 
-        Chains onto ``dispatcher.stats.observer`` (keeping any existing
-        one), so every arrival — completed, rejected, or timed-out — is
-        captured the moment the dispatcher accounts for it. Unlike
-        :meth:`record_stats`, this sees the *full* arrival stream, not
-        just within-deadline completions.
+        Appends to ``dispatcher.stats.observers``, so every arrival —
+        completed, rejected, or timed-out — is captured the moment the
+        dispatcher accounts for it. Unlike :meth:`record_stats`, this
+        sees the *full* arrival stream, not just within-deadline
+        completions.
         """
-        previous: Optional[Callable] = dispatcher.stats.observer
-
-        def observer(request: Request) -> None:
-            if previous is not None:
-                previous(request)
-            self.record(request)
-
-        dispatcher.stats.observer = observer
+        dispatcher.stats.observers.append(self.record)
         return self
 
     # -- persistence ---------------------------------------------------------

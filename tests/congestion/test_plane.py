@@ -146,7 +146,7 @@ def test_on_event_hook_sees_enqueues_pauses_and_cnps():
     a, fe = sim.backends[0], sim.frontend
     b = sim.backends[1]
     events = []
-    sim.congestion.on_event = events.append
+    sim.congestion.observers.append(events.append)
     blast(sim, a, fe, 8192, 300)
     blast(sim, b, fe, 8192, 300)
     sim.run(ms(30))

@@ -120,3 +120,35 @@ def test_seed_override_restores(monkeypatch):
     finally:
         set_default_master_seed(prev)
     assert SimConfig().master_seed == historical
+
+
+def test_subset_runs_merge_into_one_bench_file(tmp_path, monkeypatch, capsys):
+    """A subset run keeps the records of artifacts it did not produce and
+    replaces the ones it did; each record says whether it ran full."""
+    import json
+
+    from repro.experiments import run_all
+
+    def boom(full):
+        raise RuntimeError("kaboom")
+
+    def jobs():
+        doc = json.loads((tmp_path / "BENCH_run_all.json").read_text())
+        return doc, {j["artifact"]: j for j in doc["jobs"]}
+
+    monkeypatch.setitem(run_all.RUNNERS, "a", lambda full: "a ran")
+    monkeypatch.setitem(run_all.RUNNERS, "b", lambda full: "b ran")
+    assert run_all.main(["a", "--results-dir", str(tmp_path)]) == 0
+    assert run_all.main(["b", "--full", "--results-dir", str(tmp_path)]) == 0
+    doc, by_artifact = jobs()
+    assert [j["artifact"] for j in doc["jobs"]] == ["a", "b"]
+    assert by_artifact["a"]["full"] is False and by_artifact["b"]["full"] is True
+    assert doc["jobs_total"] == 2 and doc["jobs_failed"] == 0
+
+    monkeypatch.setitem(run_all.RUNNERS, "a", boom)
+    assert run_all.main(["a", "--results-dir", str(tmp_path)]) == 1
+    doc, by_artifact = jobs()
+    assert [j["artifact"] for j in doc["jobs"]] == ["a", "b"]
+    assert not by_artifact["a"]["ok"] and "kaboom" in by_artifact["a"]["error"]
+    assert by_artifact["b"]["ok"]
+    assert doc["jobs_total"] == 2 and doc["jobs_failed"] == 1

@@ -228,7 +228,7 @@ def test_observer_sees_every_action(cluster2):
         "at 20ms recover backend0\n"
         "from 10ms to 30ms verb-nak backend1 p=0.5\n")
     seen = []
-    plane.on_event = seen.append
+    plane.observers.append(seen.append)
     cluster2.run(ms(50))
     assert [(r.kind, r.active) for r in seen] == [
         ("hang", True), ("verb-nak", True),

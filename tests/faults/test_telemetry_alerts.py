@@ -46,3 +46,28 @@ def test_cluster_wide_partition_never_raises_per_backend():
     app.run(ms(400))
     assert app.sim.faults.stats()["applied"] == 1
     assert [a for a in app.telemetry.engine.log if a.rule == "fault-injected"] == []
+
+
+def test_late_subscriber_sees_crash_after_telemetry_and_federation():
+    """Fault observers run in subscription order: one appended after the
+    build sees each crash once telemetry has raised its alert and the
+    federation has quarantined the back-end."""
+    cfg = SimConfig(num_backends=4, master_seed=5)
+    app = (ClusterBuilder(cfg)
+           .scheme("rdma-sync", interval=ms(20))
+           .with_faults("at 100ms crash backend1\nat 200ms crash backend2")
+           .with_telemetry()
+           .with_federation(num_shards=2)
+           .build())
+    topology = app.federation.topology
+    seen = []
+
+    def late(record):
+        alerted = {a.backend for a in app.telemetry.engine.log
+                   if a.rule == "fault-injected" and not a.cleared}
+        seen.append((record.backend, record.backend in topology.quarantined,
+                     record.backend in alerted))
+
+    app.sim.faults.observers.append(late)
+    app.run(ms(300))
+    assert seen == [(1, True, True), (2, True, True)]

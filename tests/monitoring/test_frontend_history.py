@@ -31,7 +31,7 @@ def _monitor(history_limit):
 def test_chunked_trim_exact_accounting_across_cycles():
     mon = _monitor(history_limit=10)
     delivered = []
-    mon.observer = lambda i, info: delivered.append((i, info))
+    mon.observers.append(lambda i, info: delivered.append((i, info)))
 
     for n in range(35):
         mon._record(n % 2, _info(n % 2, t=n))

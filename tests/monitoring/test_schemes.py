@@ -195,7 +195,8 @@ def test_monitor_observer_hook():
     sim = build_cluster(SimConfig(num_backends=1))
     scheme = create_scheme("rdma-sync", sim, interval=ms(25))
     seen = []
-    mon = FrontendMonitor(scheme, observer=lambda i, info: seen.append((i, info.collected_at)))
+    mon = FrontendMonitor(scheme)
+    mon.observers.append(lambda i, info: seen.append((i, info.collected_at)))
     mon.start()
     sim.run(ms(300))
     assert len(seen) >= 5

@@ -1,4 +1,4 @@
-"""Snapshot writer: per-epoch files, observer chaining, surface wiring."""
+"""Snapshot writer: per-epoch files, observer order, surface wiring."""
 
 from repro.config import SimConfig
 from repro.obs.openmetrics import validate_exposition
@@ -47,25 +47,25 @@ def test_attach_writes_every_nth_epoch(tmp_path):
 
 
 def test_attach_preserves_existing_observer(tmp_path):
-    """Chained round_observer: the previous hook still fires."""
+    """A round observer appended after the writer runs every round,
+    after the writer has written that round's snapshot."""
     from repro.api import ClusterBuilder
 
     cfg = SimConfig(num_backends=2, master_seed=9)
     builder = (ClusterBuilder(cfg).scheme("rdma-sync")
                .observability(snapshot_dir=str(tmp_path)))
     cluster = builder.build()
+    writer = cluster.obs.writer
     calls = []
-    prev = cluster.monitor.round_observer
-
-    # the telemetry pipeline installed its observer before the writer
-    # chained on top of it; both must keep firing
-    assert prev is not None
+    cluster.monitor.round_observers.append(
+        lambda epoch, latest: calls.append((epoch, len(writer.paths))))
     RubisWorkload(cluster.sim, cluster.dispatcher, num_clients=4,
                   think_time=10 * MILLISECOND).start()
     cluster.run(200 * MILLISECOND)
-    assert cluster.telemetry.observations > 0  # pipeline observer fired
-    assert cluster.obs.writer.paths  # writer observer fired
-    assert calls == []  # nothing else intercepted
+    assert cluster.telemetry.observations > 0  # per-report observer fired
+    assert len(calls) == cluster.monitor.epoch > 0
+    assert [epoch for epoch, _ in calls] == list(range(1, len(calls) + 1))
+    assert all(epoch == written for epoch, written in calls)
 
 
 def test_snapshot_content_matches_inline_render(tmp_path):

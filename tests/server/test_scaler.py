@@ -128,8 +128,8 @@ def test_observer_sees_evals_and_moves():
     sim = build_cluster(SimConfig(num_backends=2))
     view = FakeView()
     events = []
-    scaler = _scaler(sim, view, initial_active=1, up_after=1,
-                     observer=events.append)
+    scaler = _scaler(sim, view, initial_active=1, up_after=1)
+    scaler.observers.append(events.append)
     view.set_all(range(2), runq=8, cpu=1.0)
     sim.run(ms(50))
     kinds = {e["kind"] for e in events}

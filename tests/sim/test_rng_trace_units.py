@@ -1,9 +1,8 @@
-"""Tests for RNG streams, tracing and time units."""
+"""Tests for RNG streams and time units."""
 
 import numpy as np
 
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
 from repro.sim import units
 
 
@@ -39,30 +38,6 @@ def test_fork_changes_streams():
     reg = RngRegistry(7)
     forked = reg.fork(1)
     assert not np.allclose(reg.stream("a").random(8), forked.stream("a").random(8))
-
-
-def test_tracer_disabled_records_nothing():
-    t = Tracer(enabled=False)
-    t.emit(10, "cat", "x")
-    assert len(t) == 0
-
-
-def test_tracer_records_and_filters():
-    t = Tracer(enabled=True)
-    t.emit(10, "irq", {"cpu": 0})
-    t.emit(20, "sched", {"task": "a"})
-    t.emit(30, "irq", {"cpu": 1})
-    assert [r.time for r in t.by_category("irq")] == [10, 30]
-    assert [r.time for r in t.between(15, 30)] == [20]
-
-
-def test_tracer_hooks_fire():
-    t = Tracer(enabled=True)
-    seen = []
-    t.hook("irq", lambda r: seen.append(r.payload))
-    t.emit(5, "irq", "payload")
-    t.emit(5, "other", "nope")
-    assert seen == ["payload"]
 
 
 def test_unit_conversions_roundtrip():

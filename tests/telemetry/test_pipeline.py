@@ -39,10 +39,13 @@ def info_for(backend: int, t: int, cpu: float, runq: float = 1.0) -> LoadInfo:
 
 def test_observer_chain_preserves_existing_observer():
     seen = []
-    monitor = make_monitor(observer=lambda i, info: seen.append(i))
+    monitor = make_monitor()
+    monitor.observers.append(lambda i, info: seen.append(i))
     pipe = TelemetryPipeline(metrics=("cpu_util",)).attach(monitor)
+    # A later subscriber runs after the pipeline has ingested the report.
+    monitor.observers.append(lambda i, info: seen.append(pipe.observations))
     monitor._record(0, info_for(0, 100, 0.5))
-    assert seen == [0]
+    assert seen == [0, 1]
     assert pipe.observations == 1
     assert pipe.digest(0, "cpu_util").count == 1
 

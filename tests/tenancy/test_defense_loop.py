@@ -44,7 +44,7 @@ def test_defense_escalates_throttle_then_quarantine():
 def test_defense_off_observes_but_never_acts():
     sim = _cluster(defense=False)
     events = []
-    sim.tenancy.on_event = events.append
+    sim.tenancy.observers.append(events.append)
     _attack(sim)
     sim.run(ms(60))
     assert sim.tenancy.actions == []

@@ -175,7 +175,7 @@ def test_bound_drops_newest_and_counts():
 def test_on_end_hook_sees_dropped_spans_too():
     env, tr = make_tracer(max_spans=1)
     seen = []
-    tr.on_end(lambda s: seen.append(s.name))
+    tr.observers.append(lambda s: seen.append(s.name))
     a, b = tr.start_trace("a"), tr.start_trace("b")
     env.now = 1
     tr.end(a)

@@ -207,18 +207,15 @@ def test_recorded_trace_replays_byte_identically(tmp_path):
 def test_attach_records_live_arrivals():
     app = ClusterBuilder(SimConfig(num_backends=2)).scheme("rdma-sync").build()
     recorder = TraceRecorder().attach(app.dispatcher)
-    seen = []
-    # attach() chains, never replaces, an existing observer.
-    recorder2 = TraceRecorder()
-    previous = app.dispatcher.stats.observer
-    assert previous is not None
+    # A second recorder subscribes alongside the first, never replacing it.
+    recorder2 = TraceRecorder().attach(app.dispatcher)
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=4, think_time=ms(8))
     wl.start()
     app.run(seconds(1))
     stats = app.dispatcher.stats
     total = stats.count() + stats.rejected_count + stats.timeout_count
     assert len(recorder.entries) == total > 0
-    del seen, recorder2
+    assert recorder2.entries == recorder.entries
 
 
 def test_load_scale_amplifies_deterministically():
