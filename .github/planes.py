@@ -128,7 +128,7 @@ PLANES = {
          pytest("-q", "tests/workloads/test_traces.py",
                 "tests/workloads/test_synth.py", "tests/workloads/test_registry.py",
                 "tests/server/test_scaler.py", "tests/federation/test_membership.py")),
-        ("Determinism fingerprint (replay/scaler off == absent)",
+        ("Same-seed determinism (planes on) and synthesis stream isolation",
          pytest("-q", "tests/properties/test_replay_properties.py")),
         ("Small elastic-replay smoke", run_all("replay")),
         ("Elastic-replay benchmark (2 views x scaler on/off)",

@@ -23,10 +23,13 @@ BENCH_SCHEMA_VERSION = 2
 
 
 def _git_commit(repo_root: Optional[pathlib.Path] = None) -> str:
+    """Short HEAD hash, ``-dirty`` when tracked files differ from it;
+    ``unknown`` outside a git work tree."""
     root = repo_root or pathlib.Path(__file__).resolve().parents[3]
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=7",
+             "--exclude=*"],
             cwd=root, capture_output=True, text=True, timeout=5,
         )
         return out.stdout.strip() if out.returncode == 0 else "unknown"

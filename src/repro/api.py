@@ -22,11 +22,16 @@ congestion-realistic fabric)::
 Each ``with_*`` method returns the builder, so a deployment reads as a
 single expression naming exactly the planes it enables; everything not
 named stays off and the run is byte-identical to the minimal stack
-(property-tested). A chain method that sets config knobs writes the
-builder's own copy of that section, so the caller's
-:class:`~repro.config.SimConfig` is never changed and can seed any
-number of clusters. ``build()`` may be called once; it returns a
+(property-tested). ``build()`` may be called once; it returns a
 :class:`RubisCluster` handle.
+
+A chain method passes on only the keywords it is given, to the one
+place that declares, defaults and checks them: the plane's constructor
+(heartbeat, admission, elastic scaler, observability surface) or its
+:class:`~repro.config.SimConfig` section (tracing, federation,
+congestion, tenancy). Sections are written in the builder's own copy,
+so the caller's config is never changed and can seed any number of
+clusters.
 
 Background and tenant load is started through the workload registry:
 either chained (``.workload("background", node=0, threads=4)``) or,
@@ -38,11 +43,11 @@ application stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from difflib import get_close_matches
-from typing import List, Optional, Sequence
+import inspect
+from dataclasses import dataclass, field, fields, replace
+from typing import List, Optional
 
-from repro.config import SimConfig
+from repro.config import SimConfig, audit_keywords
 from repro.faults import FaultPlane, FaultSchedule, parse_schedule
 from repro.federation import Federation, deploy_federation
 from repro.hw.cluster import ClusterSim, build_cluster
@@ -83,22 +88,20 @@ class RubisCluster:
         self.sim.run(until)
 
 
-def _audit_kwargs(method: str, extra: dict, valid: Sequence[str]) -> None:
-    """Reject unknown chain-method keywords with a did-you-mean hint.
+#: constructor parameters ``build()`` supplies itself
+_WIRED = ("sim", "view", "federation", "health", "cluster")
 
-    Mirrors the config-schema audit: a misspelled knob on any builder
-    chain method raises immediately instead of silently vanishing into
-    ``**kwargs`` (or a bare TypeError with no suggestion).
-    """
-    if not extra:
-        return
-    name = next(iter(extra))
-    matches = get_close_matches(name, valid, n=1, cutoff=0.6)
-    hint = f" — did you mean {matches[0]!r}?" if matches else ""
-    raise TypeError(
-        f"ClusterBuilder.{method}() got unknown keyword argument "
-        f"{name!r}{hint} (valid keywords: {', '.join(sorted(valid))})"
-    )
+
+def _audit(method: str, knobs: dict, valid) -> dict:
+    """``knobs``, after rejecting any name not in ``valid`` with a hint."""
+    audit_keywords(f"ClusterBuilder.{method}()", knobs, valid)
+    return knobs
+
+
+def _ctor_knobs(method: str, knobs: dict, ctor) -> dict:
+    """``knobs``, audited against ``ctor``'s parameters minus the wired ones."""
+    params = inspect.signature(ctor).parameters
+    return _audit(method, knobs, [p for p in params if p not in _WIRED])
 
 
 class ClusterBuilder:
@@ -112,16 +115,15 @@ class ClusterBuilder:
         self._interval: Optional[int] = None
         self._scheme_kwargs: dict = {}
         self._workers: Optional[int] = None
-        self._admission = False
-        self._admission_max_score = 0.85
         self._telemetry = False
         self._telemetry_rules = None
         self._alert_shedding = False
         self._fault_schedule: Optional[FaultSchedule] = None
-        self._heartbeat = False
-        self._heartbeat_interval = 50_000_000
-        self._heartbeat_timeout = 10_000_000
-        self._heartbeat_hung_after = 2
+        # Constructor keywords of the planes build() constructs; None = off.
+        self._admission: Optional[dict] = None
+        self._heartbeat: Optional[dict] = None
+        self._scaler: Optional[dict] = None
+        self._obs: Optional[dict] = None
         self._workloads: list = []
         self._built = False
 
@@ -158,17 +160,14 @@ class ClusterBuilder:
         self._workers = n
         return self
 
-    def with_admission(self, *, max_score: float = 0.85,
-                       **extra) -> "ClusterBuilder":
+    def with_admission(self, **knobs) -> "ClusterBuilder":
         """Reject requests when every back-end scores above ``max_score``."""
-        _audit_kwargs("with_admission", extra, ["max_score"])
-        self._admission = True
-        self._admission_max_score = max_score
+        self._admission = _audit("with_admission", knobs, ["max_score"])
         return self
 
     def with_telemetry(self, *, rules=None, **extra) -> "ClusterBuilder":
         """Attach the bounded telemetry pipeline to the front-end monitor."""
-        _audit_kwargs("with_telemetry", extra, ["rules"])
+        _audit("with_telemetry", extra, ["rules"])
         self._telemetry = True
         self._telemetry_rules = rules
         return self
@@ -178,13 +177,13 @@ class ClusterBuilder:
         self._alert_shedding = True
         return self
 
-    def with_tracing(self, *, sample: float = 1.0, **extra) -> "ClusterBuilder":
-        """Enable the causal span plane at head-sampling rate ``sample``."""
-        _audit_kwargs("with_tracing", extra, ["sample"])
-        tracing = self._section("tracing")
-        tracing.enabled = True
-        tracing.sample_rate = sample
-        return self
+    def with_tracing(self, *, sample: Optional[float] = None,
+                     **extra) -> "ClusterBuilder":
+        """Enable the causal span plane at head-sampling rate ``sample``
+        (default: ``cfg.tracing.sample_rate``)."""
+        _audit("with_tracing", extra, ["sample"])
+        knobs = {} if sample is None else {"sample_rate": sample}
+        return self._enable("tracing", "with_tracing", knobs)
 
     def with_faults(self, schedule) -> "ClusterBuilder":
         """Install the deterministic fault plane.
@@ -199,90 +198,83 @@ class ClusterBuilder:
         self._fault_schedule = schedule
         return self
 
-    def with_heartbeat(self, *, interval: int = 50_000_000,
-                       timeout: int = 10_000_000,
-                       hung_after: int = 2, **extra) -> "ClusterBuilder":
-        """Run the RDMA heartbeat monitor and health-aware failover."""
-        _audit_kwargs("with_heartbeat", extra,
-                      ["interval", "timeout", "hung_after"])
-        self._heartbeat = True
-        self._heartbeat_interval = interval
-        self._heartbeat_timeout = timeout
-        self._heartbeat_hung_after = hung_after
+    def with_heartbeat(self, **knobs) -> "ClusterBuilder":
+        """Run the RDMA heartbeat monitor and health-aware failover.
+
+        Keywords are :class:`~repro.monitoring.heartbeat.HeartbeatMonitor`'s
+        (``interval``, ``timeout``, ``hung_after``).
+        """
+        self._heartbeat = _ctor_knobs("with_heartbeat", knobs, HeartbeatMonitor)
+        return self
+
+    def _enable(self, section: str, method: str, knobs: dict) -> "ClusterBuilder":
+        """Switch on config section ``section`` and set the given knobs.
+
+        Writes the builder's own copy of the section; names that are not
+        fields of the section raise with ``method`` in the message.
+        """
+        sec = getattr(self._cfg, section)
+        _audit(method, knobs, [f.name for f in fields(sec)])
+        sec = self._section(section)
+        sec.enabled = True
+        for name, value in knobs.items():
+            setattr(sec, name, value)
         return self
 
     def congestion(self, **knobs) -> "ClusterBuilder":
         """Enable the congestion-realistic fabric (ECN/DCQCN/PFC).
 
-        Keywords are ``cfg.congestion`` knobs (``dcqcn=False``,
-        ``ecn_kmin=...``, ``pfc_xoff=...``, ...); a mistyped name raises
-        immediately with a did-you-mean hint, courtesy of the audited
-        config schema. ``enabled`` is implied — calling this method at
-        all switches the plane on.
+        Keywords are ``cfg.congestion`` fields (``dcqcn=False``,
+        ``ecn_kmin=...``, ``pfc_xoff=...``, ...). Calling this method
+        at all switches the plane on.
         """
-        cc = self._section("congestion")
-        cc.enabled = True
-        for name, value in knobs.items():
-            setattr(cc, name, value)
-        return self
+        return self._enable("congestion", "congestion", knobs)
 
     def tenancy(self, **knobs) -> "ClusterBuilder":
         """Enable the multi-tenant NIC resource model (see repro.tenancy).
 
-        Keywords are ``cfg.tenancy`` knobs (``qp_table_size=...``,
-        ``icm_entries=...``, ``defense=True``, ``offend_mbps=...``, ...);
-        a mistyped name raises immediately with a did-you-mean hint,
-        courtesy of the audited config schema. ``enabled`` is implied —
-        calling this method at all installs the plane, giving every NIC
+        Keywords are ``cfg.tenancy`` fields (``qp_table_size=...``,
+        ``icm_entries=...``, ``defense=True``, ``offend_mbps=...``, ...).
+        Calling this method at all installs the plane, giving every NIC
         a bounded QP table and a shared ICM context cache, and policing
         tenant verbs at post time. The built cluster's
         ``sim.tenancy`` handle carries the registry and defense loop.
         """
-        tn = self._section("tenancy")
-        tn.enabled = True
-        for name, value in knobs.items():
-            setattr(tn, name, value)
-        return self
+        return self._enable("tenancy", "tenancy", knobs)
 
     def observability(self, **knobs) -> "ClusterBuilder":
         """Enable the OpenMetrics observability surface (see repro.obs).
 
-        Keywords are ``cfg.obs`` knobs (``namespace=...``,
-        ``snapshot_dir=...``, ``http=True``, ``http_port=...``, ...); a
-        mistyped name raises immediately with a did-you-mean hint,
-        courtesy of the audited config schema. ``enabled`` is implied —
-        calling this method at all switches the surface on, and the
-        build also attaches the telemetry pipeline (the registry's
-        richest source) exactly as :meth:`with_telemetry` would.
+        Keywords are those of
+        :meth:`~repro.obs.surface.Observability.deploy` (``namespace``,
+        ``quantiles``, ``snapshot_dir``, ``snapshot_every``, ``http``,
+        ``http_host``, ``http_port``). The build also attaches the
+        telemetry pipeline (the registry's richest source) exactly as
+        :meth:`with_telemetry` would.
 
         The built cluster's ``obs`` handle carries the registry, the
         ``/metrics`` server (when ``http=True``) and
         :meth:`~repro.obs.surface.Observability.job_report`.
         """
-        obs = self._section("obs")
-        obs.enabled = True
-        for name, value in knobs.items():
-            setattr(obs, name, value)
+        from repro.obs import Observability  # deferred: heavy-ish, opt-in
+
+        self._obs = _ctor_knobs("observability", knobs, Observability.deploy)
         return self
 
     def with_elastic_scaler(self, **knobs) -> "ClusterBuilder":
         """Enable monitoring-driven elastic autoscaling (see server.reconfig).
 
-        Keywords are ``cfg.scaler`` knobs (``high_water=...``,
-        ``low_water=...``, ``initial_active=...``, ``up_after=...``,
-        ``cooldown=...``, ...); a mistyped name raises immediately with
-        a did-you-mean hint, courtesy of the audited config schema.
-        ``enabled`` is implied — calling this method at all installs an
-        :class:`~repro.server.reconfig.ElasticScaler` driven by
-        whichever monitoring view the dispatcher consults (the
-        federated root when federation is on, the flat front-end poller
-        otherwise). The built cluster's ``scaler`` handle carries the
-        scale-event log and load samples.
+        Keywords are those of :class:`~repro.server.reconfig.ElasticScaler`
+        (``interval``, ``high_water``, ``low_water``, ``initial_active``,
+        ``min_active``, ``max_active``, ``up_after``, ``down_after``,
+        ``cooldown``). The scaler is driven by whichever monitoring view
+        the dispatcher consults (the federated root when federation is
+        on, the flat front-end poller otherwise). The built cluster's
+        ``scaler`` handle carries the scale-event log and load samples.
         """
-        sc = self._section("scaler")
-        sc.enabled = True
-        for name, value in knobs.items():
-            setattr(sc, name, value)
+        from repro.server.reconfig import ElasticScaler  # deferred: opt-in
+
+        self._scaler = _ctor_knobs("with_elastic_scaler", knobs, ElasticScaler)
         return self
 
     def workload(self, name: str, **kwargs) -> "ClusterBuilder":
@@ -304,35 +296,18 @@ class ClusterBuilder:
         self._workloads.append((spec, kwargs))
         return self
 
-    def with_federation(self, *, num_shards: int = 0,
-                        leaf_interval: int = 0,
-                        root_interval: int = 0,
-                        levels: int = 2,
-                        num_regions: int = 0,
-                        region_interval: int = 0,
-                        **extra) -> "ClusterBuilder":
+    def with_federation(self, **knobs) -> "ClusterBuilder":
         """Deploy the sharded monitoring fabric (two or three tiers).
 
         Equivalent to setting ``cfg.federation.enabled`` (plus the given
-        knobs) before building: leaves poll their shard with the chosen
-        scheme, the root merges leaf snapshots, the dispatcher routes
-        through the shard-then-node balancer, and the flat front-end
-        poller stays idle. ``levels=3`` inserts region aggregators
-        between leaves and root (fan-outs near N^(1/3) — the large-N
-        regime; see docs/FEDERATION.md).
+        ``cfg.federation`` fields) before building: leaves poll their
+        shard with the chosen scheme, the root merges leaf snapshots,
+        the dispatcher routes through the shard-then-node balancer, and
+        the flat front-end poller stays idle. ``levels=3`` inserts
+        region aggregators between leaves and root (fan-outs near
+        N^(1/3) — the large-N regime; see docs/FEDERATION.md).
         """
-        _audit_kwargs("with_federation", extra,
-                      ["num_shards", "leaf_interval", "root_interval",
-                       "levels", "num_regions", "region_interval"])
-        fed = self._section("federation")
-        fed.enabled = True
-        fed.num_shards = num_shards
-        fed.leaf_interval = leaf_interval
-        fed.root_interval = root_interval
-        fed.levels = levels
-        fed.num_regions = num_regions
-        fed.region_interval = region_interval
-        return self
+        return self._enable("federation", "with_federation", knobs)
 
     # -- assembly -------------------------------------------------------
     def build(self):
@@ -341,7 +316,7 @@ class ClusterBuilder:
             raise RuntimeError("ClusterBuilder.build() may only be called once")
         self._built = True
         cfg = self._cfg
-        if cfg.obs.enabled:
+        if self._obs is not None:
             # The exposition's richest source; attaching it is free in
             # simulated time, so fingerprints are unchanged.
             self._telemetry = True
@@ -385,12 +360,8 @@ class ClusterBuilder:
                 telemetry.attach_faults(faults)
 
         heartbeat = None
-        if self._heartbeat:
-            heartbeat = HeartbeatMonitor(
-                sim, interval=self._heartbeat_interval,
-                timeout=self._heartbeat_timeout,
-                hung_after=self._heartbeat_hung_after,
-            )
+        if self._heartbeat is not None:
+            heartbeat = HeartbeatMonitor(sim, **self._heartbeat)
             if telemetry is not None:
                 telemetry.attach_heartbeat(heartbeat)
 
@@ -406,23 +377,15 @@ class ClusterBuilder:
                 sim.tenancy.federation = federation
 
         scaler = None
-        if cfg.scaler.enabled:
-            from repro.server.reconfig import ElasticScaler  # deferred: opt-in
-            sc = cfg.scaler
+        if self._scaler is not None:
+            from repro.server.reconfig import ElasticScaler
+
             scaler = ElasticScaler(
                 sim,
                 view=(federation.root if federation is not None else monitor),
-                interval=(sc.interval or cfg.monitor.interval),
-                high_water=sc.high_water,
-                low_water=sc.low_water,
-                initial_active=sc.initial_active,
-                min_active=sc.min_active,
-                max_active=sc.max_active,
-                up_after=sc.up_after,
-                down_after=sc.down_after,
-                cooldown=sc.cooldown,
                 federation=federation,
                 health=heartbeat,
+                **self._scaler,
             )
             if telemetry is not None:
                 telemetry.attach_scaler(scaler)
@@ -442,13 +405,13 @@ class ClusterBuilder:
         balancer.tracer = sim.spans
         balancer.trace_node = sim.frontend.name
         admission = None
-        if self._admission:
+        if self._admission is not None:
             admission = AdmissionController(
                 num_backends=len(servers),
-                max_score=self._admission_max_score,
                 balancer=balancer,
                 alert_engine=(telemetry.engine
                               if self._alert_shedding and telemetry else None),
+                **self._admission,
             )
             admission.tracer = sim.spans
             admission.trace_node = sim.frontend.name
@@ -487,7 +450,8 @@ class ClusterBuilder:
             scaler=scaler,
             workloads=workloads,
         )
-        if cfg.obs.enabled:
-            from repro.obs import Observability  # deferred: heavy-ish, opt-in
-            cluster.obs = Observability.deploy(cluster, cfg.obs)
+        if self._obs is not None:
+            from repro.obs import Observability
+
+            cluster.obs = Observability.deploy(cluster, **self._obs)
         return cluster

@@ -14,7 +14,6 @@ All times are integer nanoseconds (see :mod:`repro.sim.units`).
 from __future__ import annotations
 
 import dataclasses
-import re
 from dataclasses import dataclass, field
 from difflib import get_close_matches
 
@@ -23,13 +22,22 @@ from repro.sim.units import MILLISECOND as MS
 from repro.sim.units import SECOND as S
 
 
-def _unknown_key_error(cls, name: str) -> str:
-    matches = get_close_matches(name, cls.__dataclass_fields__, n=1, cutoff=0.6)
-    hint = f" — did you mean {matches[0]!r}?" if matches else ""
-    return (
-        f"unknown config key {cls.__name__}.{name}{hint} "
-        f"(valid keys: {', '.join(sorted(cls.__dataclass_fields__))})"
-    )
+def audit_keywords(owner: str, keywords, valid, *, noun: str = "keyword",
+                   error=TypeError) -> None:
+    """Raise ``error`` naming the first of ``keywords`` not in ``valid``.
+
+    The one unknown-name check behind the config schema, the builder's
+    chain methods, the workload registry and the scheme registry: the
+    message names ``owner``, suggests the closest valid name and lists
+    every valid one, so a typo fails where it was written.
+    """
+    for name in keywords:
+        if name not in valid:
+            matches = get_close_matches(name, valid, n=1, cutoff=0.6)
+            hint = f" — did you mean {matches[0]!r}?" if matches else ""
+            raise error(
+                f"{owner} got unknown {noun} {name!r}{hint} "
+                f"(valid {noun}s: {', '.join(sorted(valid))})")
 
 
 def audited(cls):
@@ -46,14 +54,13 @@ def audited(cls):
     fields = cls.__dataclass_fields__
 
     def __init__(self, *args, **kwargs):
-        for key in kwargs:
-            if key not in fields:
-                raise TypeError(_unknown_key_error(cls, key))
+        audit_keywords(cls.__name__, kwargs, fields, noun="key")
         orig_init(self, *args, **kwargs)
 
     def __setattr__(self, name, value):
         if name not in fields:
-            raise AttributeError(_unknown_key_error(cls, name))
+            audit_keywords(cls.__name__, (name,), fields, noun="key",
+                           error=AttributeError)
         object.__setattr__(self, name, value)
 
     __init__.__wrapped__ = orig_init
@@ -391,39 +398,6 @@ class TenancyConfig:
 
 @audited
 @dataclass
-class ObsConfig:
-    """Observability surface (see :mod:`repro.obs`).
-
-    Default-off: with ``enabled=False`` nothing in the obs package is
-    imported or constructed and every historical run stays
-    byte-identical (the surface is pure observer bookkeeping even when
-    on — property-tested like telemetry). When on, the cluster handle
-    carries an :class:`~repro.obs.surface.Observability` with the
-    metric registry wired to every deployed plane; the remaining knobs
-    choose the consumers (per-epoch ``.prom`` snapshots, a live
-    ``/metrics`` HTTP endpoint) and the metric naming.
-    """
-
-    #: master switch — implies the telemetry pipeline (the registry's
-    #: richest source) when the builder wires the surface
-    enabled: bool = False
-    #: metric-name prefix for every exported family
-    namespace: str = "repro"
-    #: quantiles each summary family exposes
-    quantiles: tuple = (0.5, 0.95, 0.99)
-    #: directory for per-epoch exposition snapshots ("" = no snapshots)
-    snapshot_dir: str = ""
-    #: monitoring epochs between snapshots
-    snapshot_every: int = 1
-    #: serve a live /metrics scrape endpoint (wall-clock only)
-    http: bool = False
-    http_host: str = "127.0.0.1"
-    #: TCP port for the endpoint; 0 = ephemeral (query it at runtime)
-    http_port: int = 0
-
-
-@audited
-@dataclass
 class TracingConfig:
     """Causal span-tracing parameters (see :mod:`repro.tracing`)."""
 
@@ -435,67 +409,6 @@ class TracingConfig:
     sample_rate: float = 1.0
     #: span-store bound; spans finished past this are counted as dropped
     max_spans: int = 65536
-
-
-@audited
-@dataclass
-class ReplayConfig:
-    """Trace replay defaults (see :mod:`repro.workloads.traces`).
-
-    Default-inert: nothing reads these knobs unless a
-    :class:`~repro.workloads.traces.TraceReplayer` is constructed
-    through the workload registry (``builder.workload("replay", ...)``),
-    so every historical run stays byte-identical (property-tested, like
-    the other planes). The knobs are the replayer's constructor defaults
-    — explicit keyword arguments always win.
-    """
-
-    #: replay clock factor: < 1 compresses time (stress), > 1 stretches
-    time_scale: float = 1.0
-    #: arrival amplification: 2.0 doubles every arrival, 0.5 thins the
-    #: trace to half — fractional parts are resolved on the dedicated
-    #: ``replay:load-scale`` RNG stream
-    load_scale: float = 1.0
-    #: client tasks the trace is round-robined across
-    injectors: int = 16
-    #: per-injector patience when draining straggler responses, ns
-    drain_timeout: int = 200 * MS
-
-
-@audited
-@dataclass
-class ScalerConfig:
-    """Elastic autoscaling (see :class:`repro.server.reconfig.ElasticScaler`).
-
-    Default-off: with ``enabled=False`` no scaler is constructed, the
-    dispatcher's health chain is untouched and every historical run
-    stays byte-identical (property-tested). When on, a reserve of
-    parked back-ends is held out of dispatch and the scaler
-    releases/parks them as the monitored mean load crosses the
-    watermarks, triggering a federation ``rebalance`` on every
-    membership change when the fabric is deployed.
-    """
-
-    #: master switch for the elastic scaler
-    enabled: bool = False
-    #: evaluation period, ns; 0 = cfg.monitor.interval
-    interval: int = 0
-    #: scale up when mean active load exceeds this ...
-    high_water: float = 0.75
-    #: ... and down when it falls below this
-    low_water: float = 0.35
-    #: back-ends serving at t=0; 0 = all (no reserve)
-    initial_active: int = 0
-    #: floor on the active set
-    min_active: int = 1
-    #: ceiling on the active set; 0 = num_backends
-    max_active: int = 0
-    #: consecutive over-watermark evaluations before scaling up
-    up_after: int = 1
-    #: consecutive under-watermark evaluations before scaling down
-    down_after: int = 3
-    #: minimum gap between membership changes, ns
-    cooldown: int = 0
 
 
 @audited
@@ -558,12 +471,9 @@ class SimConfig:
     server: ServerConfig = field(default_factory=ServerConfig)
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     tracing: TracingConfig = field(default_factory=TracingConfig)
-    obs: ObsConfig = field(default_factory=ObsConfig)
     federation: FederationConfig = field(default_factory=FederationConfig)
     congestion: CongestionConfig = field(default_factory=CongestionConfig)
     tenancy: TenancyConfig = field(default_factory=TenancyConfig)
-    replay: ReplayConfig = field(default_factory=ReplayConfig)
-    scaler: ScalerConfig = field(default_factory=ScalerConfig)
     profile: ProfileConfig = field(default_factory=ProfileConfig)
 
     def replace(self, **kwargs) -> "SimConfig":
@@ -650,40 +560,6 @@ class SimConfig:
             raise ValueError("tenancy.throttle_factor must be in (0, 1]")
         if tn.quarantine_after < 1 or tn.release_after < 1:
             raise ValueError("tenancy strike/release windows must be >= 1")
-        rp = self.replay
-        if rp.time_scale <= 0 or rp.load_scale <= 0:
-            raise ValueError("replay time_scale and load_scale must be positive")
-        if rp.injectors < 1:
-            raise ValueError("replay.injectors must be >= 1")
-        if rp.drain_timeout <= 0:
-            raise ValueError("replay.drain_timeout must be positive")
-        sc = self.scaler
-        if sc.interval < 0:
-            raise ValueError("scaler.interval must be >= 0 (0 = monitor interval)")
-        if not 0 <= sc.low_water < sc.high_water:
-            raise ValueError("need 0 <= scaler.low_water < scaler.high_water")
-        if sc.initial_active < 0 or sc.max_active < 0:
-            raise ValueError("scaler active bounds must be >= 0 (0 = all)")
-        if sc.min_active < 1:
-            raise ValueError("scaler.min_active must be >= 1")
-        if sc.max_active and sc.max_active < sc.min_active:
-            raise ValueError("scaler.max_active must be >= min_active (or 0)")
-        if sc.initial_active > self.num_backends:
-            raise ValueError("scaler.initial_active must not exceed num_backends")
-        if sc.up_after < 1 or sc.down_after < 1:
-            raise ValueError("scaler up_after/down_after must be >= 1")
-        if sc.cooldown < 0:
-            raise ValueError("scaler.cooldown must be >= 0")
-        obs = self.obs
-        if not re.match(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z", obs.namespace):
-            raise ValueError(f"obs.namespace {obs.namespace!r} is not a "
-                             "legal metric-name prefix")
-        if not obs.quantiles or not all(0.0 <= q <= 1.0 for q in obs.quantiles):
-            raise ValueError("obs.quantiles must be a non-empty tuple in [0, 1]")
-        if obs.snapshot_every < 1:
-            raise ValueError("obs.snapshot_every must be >= 1")
-        if not 0 <= obs.http_port <= 65535:
-            raise ValueError("obs.http_port must be in [0, 65535]")
         if self.profile.top < 1:
             raise ValueError("profile.top must be >= 1")
         if self.profile.sort not in (
@@ -702,10 +578,7 @@ __all__ = [
     "IrqConfig",
     "MonitorConfig",
     "NetConfig",
-    "ObsConfig",
     "ProfileConfig",
-    "ReplayConfig",
-    "ScalerConfig",
     "ServerConfig",
     "SimConfig",
     "SyscallConfig",

@@ -48,8 +48,6 @@ class FederatedMonitor:
         sim: "ClusterSim",
         topology: ShardTopology,
         leaves: List[LeafMonitor],
-        interval: Optional[int] = None,
-        name: str = "fed-root",
         regions: Optional[list] = None,
     ) -> None:
         if not leaves:
@@ -60,13 +58,11 @@ class FederatedMonitor:
         self.leaves = leaves
         self.regions = regions
         self.frontend = sim.frontend
-        if interval is None:
-            interval = (fed.root_interval or fed.leaf_interval
-                        or sim.cfg.monitor.interval)
+        interval = (fed.root_interval or fed.leaf_interval
+                    or sim.cfg.monitor.interval)
         if interval <= 0:
             raise ValueError("root interval must be positive")
         self.interval = interval
-        self.name = name
         sources = regions if regions else leaves
         self._sources = sources
         self._qps = [connect_monitor_qp(sim.frontend, src.node)[0] for src in sources]
@@ -96,7 +92,7 @@ class FederatedMonitor:
     def start(self) -> "Task":
         if self._task is not None:
             raise RuntimeError("federated monitor already started")
-        self._task = self.frontend.spawn(self.name, self._body)
+        self._task = self.frontend.spawn("fed-root", self._body)
         return self._task
 
     def stop(self) -> None:
@@ -258,7 +254,6 @@ def deploy_federation(
     sim: "ClusterSim",
     scheme_name: Optional[str] = None,
     heartbeat=None,
-    num_shards: Optional[int] = None,
 ) -> Federation:
     """Build the two-level monitoring fabric on a built cluster.
 
@@ -279,7 +274,7 @@ def deploy_federation(
     # state can follow; others pin the static assignment.
     can_rebalance = (fed.rebalance_on_quarantine and cls.one_sided
                      and cls.backend_threads == 0)
-    shards = num_shards if num_shards is not None else fed.num_shards
+    shards = fed.num_shards
     if not shards and fed.levels == 3:
         # Three tiers balance near N^(1/3) fan-outs, not sqrt(N).
         shards = auto_shard_count_3level(len(sim.backends))

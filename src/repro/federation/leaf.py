@@ -64,8 +64,6 @@ class LeafMonitor:
         shard: int,
         node: "Node",
         scheme_name: Optional[str] = None,
-        interval: Optional[int] = None,
-        metrics=SNAPSHOT_METRICS,
     ) -> None:
         fed = sim.cfg.federation
         self.sim = sim
@@ -73,9 +71,7 @@ class LeafMonitor:
         self.shard = shard
         self.node = node
         self.scheme_name = scheme_name if scheme_name is not None else fed.scheme
-        if interval is None:
-            interval = fed.leaf_interval or sim.cfg.monitor.interval
-        self.interval = interval
+        self.interval = fed.leaf_interval or sim.cfg.monitor.interval
         # One-sided schemes with no back-end agent can safely be
         # deployed over the whole cluster (a registration + QP per
         # member costs the members nothing), which lets quarantine
@@ -95,13 +91,12 @@ class LeafMonitor:
         self._universe = universe
         self._local_of = {g: li for li, g in enumerate(universe)}
         view = ShardView(sim, node, [sim.backends[g] for g in universe])
-        self.scheme = create_scheme(self.scheme_name, view, interval=interval)
-        self.metrics = tuple(metrics)
+        self.scheme = create_scheme(self.scheme_name, view, interval=self.interval)
         #: freshest report per member, keyed by *global* back-end index
         self.latest: Dict[int, LoadInfo] = {}
         #: cumulative per-metric merge digests over the shard's stream
         self.digests: Dict[str, StreamingDigest] = {
-            m: StreamingDigest(fed.digest_compression) for m in self.metrics
+            m: StreamingDigest(fed.digest_compression) for m in SNAPSHOT_METRICS
         }
         self.epoch = 0
         self.published = 0

@@ -89,7 +89,6 @@ class RegionAggregator:
         region: int,
         leaves: List[LeafMonitor],
         node: "Node",
-        interval: Optional[int] = None,
     ) -> None:
         if not leaves:
             raise ValueError("region aggregator needs at least one leaf")
@@ -98,9 +97,8 @@ class RegionAggregator:
         self.region = region
         self.leaves = leaves
         self.node = node
-        if interval is None:
-            interval = (fed.region_interval or fed.leaf_interval
-                        or sim.cfg.monitor.interval)
+        interval = (fed.region_interval or fed.leaf_interval
+                    or sim.cfg.monitor.interval)
         if interval <= 0:
             raise ValueError("region interval must be positive")
         self.interval = interval

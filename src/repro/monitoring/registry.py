@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 from typing import TYPE_CHECKING, Optional, Type
 
+from repro.config import audit_keywords
 from repro.monitoring.base import MonitoringScheme
 from repro.monitoring.e_rdma_sync import ExtendedRdmaSyncScheme
 from repro.monitoring.rdma_async import RdmaAsyncScheme
@@ -73,23 +74,12 @@ def create_scheme(
     All scheme constructors share the normalized keyword-only signature
     ``cls(sim, *, interval=None, with_irq_detail=False)``; extra keyword
     arguments are forwarded verbatim. Unknown keywords are rejected here
-    with an error naming the scheme and listing what it does accept.
+    with an error naming the scheme, suggesting the closest option and
+    listing what it does accept.
     """
-    try:
-        cls = _SCHEMES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {name!r}; choose from {sorted(_SCHEMES)}"
-        ) from None
-    params = inspect.signature(cls.__init__).parameters
-    unknown = sorted(k for k in kwargs if k not in params)
-    if unknown:
-        valid = sorted(p for p in params if p not in ("self", "sim"))
-        raise TypeError(
-            f"scheme {name!r} ({cls.__name__}) got unknown keyword "
-            f"argument(s) {', '.join(map(repr, unknown))}; "
-            f"it accepts: {', '.join(valid)}"
-        )
+    cls = scheme_class(name)
+    audit_keywords(f"scheme {name!r} ({cls.__name__})", kwargs,
+                   scheme_options(name))
     scheme = cls(sim, interval=interval, **kwargs)
     if deploy:
         scheme.deploy()

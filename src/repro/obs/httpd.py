@@ -83,6 +83,8 @@ class MetricsServer:
     def __init__(self, registry: "MetricsRegistry", host: str = "127.0.0.1",
                  port: int = 0,
                  report_provider: Optional[Callable[[], object]] = None) -> None:
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be in [0, 65535], got {port}")
         self.registry = registry
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.registry = registry  # type: ignore[attr-defined]

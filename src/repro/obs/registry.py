@@ -122,6 +122,8 @@ class MetricsRegistry:
                  quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
         if not METRIC_NAME_RE.match(namespace):
             raise ValueError(f"bad metric namespace {namespace!r}")
+        if not quantiles or not all(0.0 <= q <= 1.0 for q in quantiles):
+            raise ValueError("quantiles must be a non-empty sequence in [0, 1]")
         self.namespace = namespace
         self.quantiles = tuple(quantiles)
         self._collectors: List[Callable[[], Iterable[MetricFamily]]] = []

@@ -2,51 +2,57 @@
 
 :class:`Observability` is what ``ClusterBuilder.observability(...)``
 hangs off the cluster handle: the registry wired to every present
-plane, plus the optional consumers the ``cfg.obs`` knobs enabled — a
-per-epoch snapshot writer and/or a live ``/metrics`` HTTP endpoint.
-Everything is observer-side; simulated time is untouched.
+plane, plus the optional consumers its keywords enable — a per-epoch
+snapshot writer and/or a live ``/metrics`` HTTP endpoint. Everything is
+observer-side; simulated time is untouched.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional, Sequence
 
 from repro.obs.httpd import MetricsServer
 from repro.obs.jobreport import JobReport, build_job_report
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import DEFAULT_QUANTILES, MetricsRegistry
 from repro.obs.snapshots import SnapshotWriter
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.config import ObsConfig
 
 
 class Observability:
     """Registry + optional snapshot writer + optional scrape endpoint."""
 
-    def __init__(self, registry: MetricsRegistry, cfg: "ObsConfig",
-                 cluster=None) -> None:
+    def __init__(self, registry: MetricsRegistry, cluster=None) -> None:
         self.registry = registry
-        self.cfg = cfg
         self.cluster = cluster
         self.writer: Optional[SnapshotWriter] = None
         self.server: Optional[MetricsServer] = None
 
     # ------------------------------------------------------------------
     @classmethod
-    def deploy(cls, cluster, cfg: "ObsConfig") -> "Observability":
-        """Wire the surface onto a built cluster per the config knobs."""
+    def deploy(cls, cluster, *, namespace: str = "repro",
+               quantiles: Sequence[float] = DEFAULT_QUANTILES,
+               snapshot_dir: str = "", snapshot_every: int = 1,
+               http: bool = False, http_host: str = "127.0.0.1",
+               http_port: int = 0) -> "Observability":
+        """Wire the surface onto a built cluster.
+
+        ``namespace`` prefixes every family name and ``quantiles`` are
+        the ones each summary exposes. A non-empty ``snapshot_dir``
+        writes an exposition there every ``snapshot_every`` monitoring
+        epochs; ``http=True`` serves a live ``/metrics`` endpoint on
+        ``http_host:http_port`` (port 0 = ephemeral, wall-clock only).
+        """
         registry = MetricsRegistry.from_cluster(
-            cluster, namespace=cfg.namespace, quantiles=cfg.quantiles)
-        obs = cls(registry, cfg, cluster=cluster)
-        if cfg.snapshot_dir:
-            obs.writer = SnapshotWriter(
-                registry, cfg.snapshot_dir, every=cfg.snapshot_every)
+            cluster, namespace=namespace, quantiles=quantiles)
+        obs = cls(registry, cluster=cluster)
+        if snapshot_dir:
+            obs.writer = SnapshotWriter(registry, snapshot_dir,
+                                        every=snapshot_every)
             view = (cluster.federation.root
                     if cluster.federation is not None else cluster.monitor)
             obs.writer.attach(view)
-        if cfg.http:
+        if http:
             obs.server = MetricsServer(
-                registry, host=cfg.http_host, port=cfg.http_port,
+                registry, host=http_host, port=http_port,
                 report_provider=obs.job_report)
             obs.server.start()
         return obs
@@ -60,8 +66,8 @@ class Observability:
         """Write one exposition snapshot now (needs ``snapshot_dir``)."""
         if self.writer is None:
             raise RuntimeError(
-                "no snapshot writer: set cfg.obs.snapshot_dir (or pass "
-                "snapshot_dir=... to ClusterBuilder.observability)")
+                "no snapshot writer: pass snapshot_dir=... to "
+                "ClusterBuilder.observability")
         return self.writer.write()
 
     def job_report(self, job: str = "rubis", stats=None) -> JobReport:

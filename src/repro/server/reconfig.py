@@ -178,13 +178,19 @@ class ElasticScaler:
     leaves stop (or resume) polling it. Each change emits a
     ``scale:up``/``scale:down`` span and an observer event (telemetry's
     ``scaler.*`` series and the obs collectors hook in there).
+
+    ``interval`` is the evaluation period (``None``: the monitoring
+    interval); ``initial_active`` (back-ends serving at t=0) and
+    ``max_active`` default to every back-end when 0; ``up_after`` /
+    ``down_after`` count consecutive evaluations past a watermark, and
+    ``cooldown`` ns must pass between membership changes.
     """
 
     def __init__(
         self,
         sim: "ClusterSim",
         view,
-        interval: int,
+        interval: Optional[int] = None,
         high_water: float = 0.75,
         low_water: float = 0.35,
         initial_active: int = 0,
@@ -197,6 +203,8 @@ class ElasticScaler:
         health=None,
     ) -> None:
         n = len(sim.backends)
+        if interval is None:
+            interval = sim.cfg.monitor.interval
         if interval <= 0:
             raise ValueError("scaler interval must be positive")
         if not 0 <= low_water < high_water:

@@ -15,7 +15,7 @@ CPU, preserving the paper's one-sided-RDMA property.
 Module                  Responsibility
 ======================= =============================================
 :mod:`~.ringstore`      fixed-capacity rings, raw → 10x → 100x tiers
-:mod:`~.digest`         streaming quantiles (P² + merge digest)
+:mod:`~.digest`         streaming quantiles (merge digest)
 :mod:`~.anomaly`        EWMA + z-score detectors
 :mod:`~.alerts`         declarative rules → timestamped alerts
 :mod:`~.pipeline`       wires a FrontendMonitor into all of the above
@@ -34,7 +34,7 @@ from repro.telemetry.alerts import (
     ThresholdRule,
 )
 from repro.telemetry.anomaly import AnomalyEvent, EwmaDetector
-from repro.telemetry.digest import P2Quantile, QuantileDigest, StreamingDigest
+from repro.telemetry.digest import QuantileDigest, StreamingDigest
 from repro.telemetry.export import dashboard, to_jsonl, write_jsonl
 from repro.telemetry.pipeline import TelemetryPipeline, default_rules
 from repro.telemetry.ringstore import MetricRing, RingBuffer, RingStore
@@ -48,7 +48,6 @@ __all__ = [
     "FaultRule",
     "HeartbeatRule",
     "MetricRing",
-    "P2Quantile",
     "QuantileDigest",
     "RingBuffer",
     "RingStore",

@@ -1,17 +1,13 @@
 """Streaming quantile estimation without sample retention.
 
-Two estimators, both O(1)-memory in the stream length:
-
-* :class:`P2Quantile` — the classic Jain & Chlamtac P² algorithm: five
-  markers tracking one target quantile by piecewise-parabolic
-  interpolation. Cheap, but its error is distribution-dependent.
-* :class:`QuantileDigest` — a merge digest: at most ``2 · compression``
-  weighted centroids kept sorted; on overflow adjacent centroids merge
-  greedily under a weight cap of ``ceil(2n / compression)``. Every
-  centroid therefore covers a contiguous rank range of at most that
-  cap, and midpoint interpolation between adjacent centroids keeps any
-  reported quantile between the exact ``q ± 3/compression`` quantiles —
-  a hard rank-error bound (≤ 0.3 % at the default compression of 1024).
+:class:`QuantileDigest` is a merge digest, O(1)-memory in the stream
+length: at most ``2 · compression`` weighted centroids kept sorted; on
+overflow adjacent centroids merge greedily under a weight cap of
+``ceil(2n / compression)``. Every centroid therefore covers a contiguous
+rank range of at most that cap, and midpoint interpolation between
+adjacent centroids keeps any reported quantile between the exact
+``q ± 3/compression`` quantiles — a hard rank-error bound (≤ 0.3 % at
+the default compression of 1024).
 
 :class:`StreamingDigest` bundles a :class:`QuantileDigest` with running
 count / mean / min / max and exposes the p50/p95/p99 the dashboard and
@@ -24,78 +20,6 @@ import bisect
 from typing import List, Optional, Sequence
 
 import numpy as _np
-
-
-class P2Quantile:
-    """P² estimator for a single quantile ``q`` (Jain & Chlamtac, 1985)."""
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        self.q = q
-        self._initial: List[float] = []
-        # marker heights, positions, desired positions, increments
-        self._h: List[float] = []
-        self._n: List[float] = []
-        self._np: List[float] = []
-        self._dn = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        if self._h == []:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._h = list(self._initial)
-                self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._np = [1.0, 1.0 + 2.0 * self.q, 1.0 + 4.0 * self.q,
-                            3.0 + 2.0 * self.q, 5.0]
-            return
-        h, n, np_, dn = self._h, self._n, self._np, self._dn
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            np_[i] += dn[i]
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (d <= -1.0 and n[i - 1] - n[i] < -1.0):
-                sign = 1.0 if d >= 0 else -1.0
-                hp = self._parabolic(i, sign)
-                if h[i - 1] < hp < h[i + 1]:
-                    h[i] = hp
-                else:  # parabolic prediction left the bracket: linear step
-                    j = i + int(sign)
-                    h[i] = h[i] + sign * (h[j] - h[i]) / (n[j] - n[i])
-                n[i] += sign
-
-    def _parabolic(self, i: int, sign: float) -> float:
-        h, n = self._h, self._n
-        return h[i] + sign / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + sign) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - sign) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    @property
-    def value(self) -> float:
-        """Current estimate (exact while fewer than five samples seen)."""
-        if self.count == 0:
-            return 0.0
-        if self._h == []:
-            ordered = sorted(self._initial)
-            idx = min(len(ordered) - 1, int(round(self.q * (len(ordered) - 1))))
-            return ordered[idx]
-        return self._h[2]
 
 
 class QuantileDigest:

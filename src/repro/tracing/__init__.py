@@ -3,8 +3,8 @@
 The span plane records *why something took as long as it did*: every
 request and monitoring probe becomes a tree of timed spans with one
 trace id, exportable to Perfetto and analysable for its critical path.
-Finished spans are also handed to the tracer's ``observers`` list (the
-feed :class:`SpanMetrics` appends to). See docs/TRACING.md.
+Finished spans are also handed, in order, to the tracer's ``observers``
+list. See docs/TRACING.md.
 """
 
 from repro.tracing.analysis import (
@@ -26,12 +26,10 @@ from repro.tracing.export import (
     to_jsonl,
     validate_chrome_trace,
 )
-from repro.tracing.metrics import SpanMetrics
 from repro.tracing.span import Span, SpanTracer, tracer_for
 
 __all__ = [
     "Span",
-    "SpanMetrics",
     "SpanTracer",
     "SpanTree",
     "TraceContext",

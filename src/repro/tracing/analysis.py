@@ -18,7 +18,7 @@ time. Three tools:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.ascii_chart import ascii_bars
 from repro.tracing.span import Span
@@ -222,15 +222,3 @@ def trace_summary(spans: Sequence[Span]) -> Dict[str, object]:
         "critical_path_ns": sum(s.duration for s in path),
     }
 
-
-def percentile_durations(spans: Sequence[Span], name: str,
-                         percentiles: Tuple[float, ...] = (0.5, 0.99)) -> Dict[float, float]:
-    """Duration percentiles for all finished spans named ``name``."""
-    durs = sorted(s.duration for s in spans if s.name == name and s.finished)
-    if not durs:
-        return {p: 0.0 for p in percentiles}
-    out = {}
-    for p in percentiles:
-        idx = min(len(durs) - 1, max(0, math.ceil(p * len(durs)) - 1))
-        out[p] = float(durs[idx])
-    return out

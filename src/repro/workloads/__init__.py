@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from difflib import get_close_matches
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
+from repro.config import audit_keywords
 from repro.workloads.rubis import RUBIS_QUERIES, RubisWorkload, QueryClass
 from repro.workloads.zipf import ZipfWorkload, zipf_weights
 from repro.workloads.background import _spawn_background_load
@@ -100,14 +101,7 @@ def get_workload_spec(name: str) -> WorkloadSpec:
 
 def _audit_workload_kwargs(spec: WorkloadSpec, kwargs: dict) -> None:
     """Schema-audit create_workload keywords, with a did-you-mean hint."""
-    unknown = [k for k in kwargs if k not in spec.params]
-    if unknown:
-        name = unknown[0]
-        matches = get_close_matches(name, spec.params, n=1, cutoff=0.6)
-        hint = f" — did you mean {matches[0]!r}?" if matches else ""
-        raise TypeError(
-            f"workload {spec.name!r} got unknown keyword argument "
-            f"{name!r}{hint} (valid keywords: {', '.join(sorted(spec.params))})")
+    audit_keywords(f"workload {spec.name!r}", kwargs, spec.params)
     missing = [k for k in spec.required if k not in kwargs]
     if missing:
         raise TypeError(

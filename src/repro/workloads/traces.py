@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.server.request import Request
 from repro.sim.resources import Store
+from repro.sim.units import MILLISECOND
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.cluster import ClusterSim
@@ -213,10 +214,10 @@ class TraceReplayer:
         sim: "ClusterSim",
         dispatcher: "Dispatcher",
         trace: List[TraceEntry],
-        time_scale: Optional[float] = None,
-        load_scale: Optional[float] = None,
-        injectors: Optional[int] = None,
-        drain_timeout: Optional[int] = None,
+        time_scale: float = 1.0,
+        load_scale: float = 1.0,
+        injectors: int = 16,
+        drain_timeout: int = 200 * MILLISECOND,
     ) -> None:
         """``time_scale`` < 1 replays faster (stress), > 1 slower.
 
@@ -227,13 +228,9 @@ class TraceReplayer:
         at :meth:`start`, so replays stay deterministic and no other
         stream is perturbed. ``load_scale`` < 1 thins the trace.
 
-        Unset knobs fall back to ``sim.cfg.replay`` defaults.
+        The trace is round-robined across ``injectors`` client tasks;
+        each waits up to ``drain_timeout`` ns for straggler responses.
         """
-        rp = sim.cfg.replay
-        time_scale = rp.time_scale if time_scale is None else time_scale
-        load_scale = rp.load_scale if load_scale is None else load_scale
-        injectors = rp.injectors if injectors is None else injectors
-        drain_timeout = rp.drain_timeout if drain_timeout is None else drain_timeout
         if not trace:
             raise ValueError("cannot replay an empty trace")
         if time_scale <= 0:

@@ -191,3 +191,14 @@ def test_three_level_same_seed_determinism():
         )
 
     assert fingerprint() == fingerprint()
+
+
+def test_nonpositive_root_and_region_intervals_rejected():
+    sim = _sim(n=8)
+    sim.cfg.federation.region_interval = -1
+    with pytest.raises(ValueError, match="region interval"):
+        deploy_federation(sim)
+    sim = _sim(n=8)
+    sim.cfg.federation.root_interval = -1
+    with pytest.raises(ValueError, match="root interval"):
+        deploy_federation(sim)

@@ -70,3 +70,8 @@ def test_e_rdma_sync_forces_irq_detail(sim):
     scheme = create_scheme("e-rdma-sync", sim, with_irq_detail=False,
                            deploy=False)
     assert scheme.read_irq_stat is True
+
+
+def test_unknown_kwarg_gets_a_suggestion(sim):
+    with pytest.raises(TypeError, match="did you mean 'with_irq_detail'"):
+        create_scheme("rdma-sync", sim, with_irq_detial=True)

@@ -100,3 +100,9 @@ def test_double_start_rejected(registry):
         server.stop()
     # stop is idempotent
     server.stop()
+
+
+def test_port_out_of_range_rejected(registry):
+    for bad in (-1, 65536):
+        with pytest.raises(ValueError, match="port"):
+            MetricsServer(registry, port=bad)

@@ -163,3 +163,10 @@ def test_collection_is_side_effect_free():
     first = cluster.obs.exposition()
     for _ in range(5):
         assert cluster.obs.exposition() == first
+
+
+def test_quantiles_validation():
+    for bad in ((), (0.5, 1.5), (-0.1,)):
+        with pytest.raises(ValueError, match="quantiles"):
+            MetricsRegistry(quantiles=bad)
+    assert MetricsRegistry(quantiles=(0.0, 1.0)).quantiles == (0.0, 1.0)

@@ -1,5 +1,7 @@
 """Snapshot writer: per-epoch files, observer order, surface wiring."""
 
+import pytest
+
 from repro.config import SimConfig
 from repro.obs.openmetrics import validate_exposition
 from repro.obs.registry import MetricsRegistry
@@ -79,3 +81,8 @@ def test_snapshot_content_matches_inline_render(tmp_path):
     cluster.run(300 * MILLISECOND)
     path = cluster.obs.snapshot()
     assert path.read_text() == cluster.obs.exposition()
+
+
+def test_snapshot_cadence_validation(tmp_path):
+    with pytest.raises(ValueError, match="cadence"):
+        SnapshotWriter(MetricsRegistry(), tmp_path, every=0)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.digest import P2Quantile, QuantileDigest, StreamingDigest
+from repro.telemetry.digest import QuantileDigest, StreamingDigest
 from repro.telemetry.ringstore import MetricRing, RingBuffer
 
 finite_floats = st.floats(min_value=-1e9, max_value=1e9,
@@ -67,15 +67,6 @@ def test_quantile_digest_monotonic_in_q(values):
     estimates = [d.quantile(q) for q in qs]
     assert estimates == sorted(estimates)
     assert min(values) <= estimates[0] and estimates[-1] <= max(values)
-
-
-@given(values=st.lists(finite_floats, min_size=1, max_size=500))
-@settings(max_examples=60, deadline=None)
-def test_p2_estimate_stays_within_sample_range(values):
-    p2 = P2Quantile(0.95)
-    for v in values:
-        p2.update(v)
-    assert min(values) <= p2.value <= max(values)
 
 
 @given(values=st.lists(finite_floats, min_size=1, max_size=500))

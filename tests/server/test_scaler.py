@@ -191,3 +191,15 @@ def test_obs_exposes_scaler_series():
     assert "repro_scaler_evaluations_total" in text
     assert 'repro_scaler_moves_total{direction="up"}' in text
     assert "repro_scaler_mean_load" in text
+
+
+def test_validation_of_active_bounds_and_patience():
+    sim = build_cluster(SimConfig(num_backends=3))
+    view = FakeView()
+    for bad in ({"interval": -1}, {"initial_active": -1}, {"max_active": -1},
+                {"initial_active": 4}, {"down_after": 0}):
+        with pytest.raises(ValueError):
+            ElasticScaler(sim, view, **{"interval": 1, **bad})
+    scaler = ElasticScaler(sim, view)
+    assert scaler.interval == sim.cfg.monitor.interval
+    assert (scaler.active, scaler.max_active) == ({0, 1, 2}, 3)

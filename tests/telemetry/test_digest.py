@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.telemetry.digest import P2Quantile, QuantileDigest, StreamingDigest
+from repro.telemetry.digest import QuantileDigest, StreamingDigest
 
 
 def test_quantile_digest_exact_below_compression():
@@ -51,31 +51,6 @@ def test_quantile_digest_bounded_size():
         d.update(float(i))
     assert len(d) <= 2 * 128
     assert d.count == 100_000
-
-
-def test_p2_tracks_p95_of_normal():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(100, 15, 50_000)
-    p2 = P2Quantile(0.95)
-    for x in xs:
-        p2.update(float(x))
-    exact = float(np.percentile(xs, 95))
-    assert abs(p2.value - exact) <= 0.01 * (np.max(xs) - np.min(xs))
-
-
-def test_p2_small_counts_are_exact_order_statistics():
-    p2 = P2Quantile(0.5)
-    assert p2.value == 0.0
-    for x in [5.0, 1.0, 3.0]:
-        p2.update(x)
-    assert p2.value == 3.0  # median of the three
-
-
-def test_p2_rejects_degenerate_quantile():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
 
 
 def test_streaming_digest_moments():

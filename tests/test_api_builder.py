@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import ClusterBuilder
 from repro.config import SimConfig
+from repro.sim.units import ms
 
 
 def test_builder_default_scheme_is_rdma_sync():
@@ -120,3 +121,103 @@ def test_observability_builds_surface():
 def test_observability_off_leaves_no_surface():
     app = ClusterBuilder(SimConfig(num_backends=2)).build()
     assert app.obs is None
+
+
+# -- one place per knob ---------------------------------------------------
+def test_with_federation_keeps_configured_knobs():
+    """Only the keywords given are written; the rest of the caller's
+    ``cfg.federation`` survives the chain method."""
+    cfg = SimConfig(num_backends=16)
+    cfg.federation.num_shards = 4
+    cfg.federation.levels = 3
+    cfg.federation.leaf_interval = ms(2)
+    app = ClusterBuilder(cfg).with_federation(root_interval=ms(4)).build()
+    fed = app.sim.cfg.federation
+    assert (fed.enabled, fed.num_shards, fed.levels) == (True, 4, 3)
+    assert (fed.leaf_interval, fed.root_interval) == (ms(2), ms(4))
+    assert app.federation.topology.num_shards == 4
+    assert app.federation.leaves[0].interval == ms(2)
+    assert app.federation.root.interval == ms(4)
+    assert len(app.federation.regions) > 0
+
+
+def test_with_tracing_keeps_configured_sample_rate():
+    cfg = SimConfig(num_backends=2)
+    cfg.tracing.sample_rate = 0.25
+    app = ClusterBuilder(cfg).with_tracing().build()
+    assert app.sim.spans.enabled
+    assert app.sim.cfg.tracing.sample_rate == 0.25
+    app = ClusterBuilder(cfg).with_tracing(sample=0.5).build()
+    assert app.sim.cfg.tracing.sample_rate == 0.5
+    assert cfg.tracing.sample_rate == 0.25
+
+
+def test_with_federation_accepts_every_federation_field():
+    cfg = SimConfig(num_backends=8)
+    app = (ClusterBuilder(cfg)
+           .with_federation(digest_compression=32,
+                            rebalance_on_quarantine=False)
+           .build())
+    fed = app.sim.cfg.federation
+    assert fed.digest_compression == 32
+    assert not app.federation.topology.rebalance_on_quarantine
+    assert not cfg.federation.enabled
+
+
+def test_constructor_backed_methods_take_constructor_keywords():
+    """Each accepts its constructor's keywords minus what build() wires;
+    ``enabled`` is not one of them (calling the method switches on)."""
+    builder = ClusterBuilder(SimConfig(num_backends=2))
+    for method, valid in (
+            ("with_elastic_scaler",
+             "cooldown, down_after, high_water, initial_active, interval, "
+             "low_water, max_active, min_active, up_after"),
+            ("observability",
+             "http, http_host, http_port, namespace, quantiles, "
+             "snapshot_dir, snapshot_every"),
+            ("with_heartbeat", "hung_after, interval, timeout"),
+            ("with_admission", "max_score")):
+        with pytest.raises(TypeError) as err:
+            getattr(builder, method)(enabled=True)
+        assert f"(valid keywords: {valid})" in str(err.value)
+
+
+def test_scaler_knobs_reach_the_constructor():
+    cfg = SimConfig(num_backends=4)
+    cfg.monitor.interval = ms(30)
+    app = ClusterBuilder(cfg).with_elastic_scaler().build()
+    assert app.scaler.interval == ms(30)
+    assert app.scaler.active == {0, 1, 2, 3}
+    app = (ClusterBuilder(cfg)
+           .with_elastic_scaler(interval=ms(13), initial_active=2,
+                                max_active=3, cooldown=ms(200))
+           .build())
+    assert app.scaler.interval == ms(13)
+    assert (app.scaler.active, app.scaler.max_active) == ({0, 1}, 3)
+    assert app.scaler.cooldown == ms(200)
+    with pytest.raises(ValueError, match="interval"):
+        ClusterBuilder(cfg).with_elastic_scaler(interval=0).build()
+
+
+def test_admission_and_heartbeat_defaults_come_from_constructors():
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .with_admission().with_heartbeat().build())
+    assert app.admission.max_score == 0.85
+    hb = app.heartbeat
+    assert (hb.interval, hb.timeout, hb.hung_after) == (ms(50), ms(10), 2)
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .with_admission(max_score=0.9).with_heartbeat(timeout=ms(3))
+           .build())
+    assert app.admission.max_score == 0.9
+    assert (app.heartbeat.interval, app.heartbeat.timeout) == (ms(50), ms(3))
+
+
+def test_observability_knobs_reach_the_surface():
+    app = (ClusterBuilder(SimConfig(num_backends=2))
+           .observability(namespace="acme", quantiles=(0.9,))
+           .build())
+    assert app.obs.registry.namespace == "acme"
+    assert app.obs.registry.quantiles == (0.9,)
+    with pytest.raises(ValueError, match="namespace"):
+        (ClusterBuilder(SimConfig(num_backends=2))
+         .observability(namespace="0bad").build())

@@ -31,6 +31,14 @@ until then, tests held the two fingerprint-identical. They pin a
 minimal stack, every per-cluster plane the builder wires, and a
 federated stack.
 
+``GOLDEN_PLANE_KNOBS`` pins the knobs of the opt-in planes that the
+builder hands to their constructors, captured while those knobs still
+had copies in ``SimConfig``: an elastic scaler with every knob off its
+default, with heartbeat failover and a renamed OpenMetrics surface
+(hashed exposition); the scaler with default knobs; a trace replay with
+default knobs and with every knob set; and a three-level federation
+chained onto a default config.
+
 The overhauled core must reproduce every value bit-for-bit. If a test
 here fails, the change under review broke same-seed reproducibility —
 do NOT re-capture the goldens to make it pass unless the change is an
@@ -49,6 +57,7 @@ together with the change that moved them and a rationale in the
 message. Never use it to silence an unexplained mismatch.
 """
 
+import hashlib
 import pathlib
 import re
 
@@ -62,6 +71,7 @@ from repro.sim.units import ms, seconds
 from repro.transport.verbs import AccessFlags, ProtectionDomain, connect_qp
 from repro.workloads.openloop import OpenLoopWorkload
 from repro.workloads.rubis import RubisWorkload
+from repro.workloads.synth import synthesize_flash_crowd
 
 
 def fp_rubis(scheme, seed=1234):
@@ -173,6 +183,86 @@ def build_federated():
             .scheme("rdma-sync", interval=ms(50))
             .with_federation()
             .build())
+
+
+def _stats_fp(app):
+    s = app.dispatcher.stats
+    return (s.count(), repr(s.mean_response()), s.max_response(),
+            tuple(sorted(s.per_backend_counts().items())),
+            app.sim.env.processed_events)
+
+
+def fp_scaler(**knobs):
+    """RUBiS on four back-ends under the elastic scaler for 1 s."""
+    app = (ClusterBuilder(SimConfig(num_backends=4, master_seed=41))
+           .scheme("rdma-sync", interval=ms(20))
+           .with_elastic_scaler(**knobs)
+           .workload("rubis", num_clients=16, think_time=ms(5))
+           .build())
+    app.run(seconds(1))
+    events = tuple((e.time, e.direction, e.backend, repr(e.mean_load),
+                    e.active_after) for e in app.scaler.events)
+    return (_stats_fp(app), events, len(app.scaler.samples),
+            app.scaler.samples[-1][2])
+
+
+def fp_scaler_obs():
+    """Every scaler knob off its default, plus heartbeat failover and a
+    renamed OpenMetrics surface; the exposition is hashed."""
+    app = (ClusterBuilder(SimConfig(num_backends=4, master_seed=42))
+           .scheme("rdma-sync", interval=ms(20))
+           .with_elastic_scaler(interval=ms(13), high_water=0.6,
+                                low_water=0.1, initial_active=2,
+                                min_active=2, max_active=3, up_after=2,
+                                down_after=5, cooldown=ms(200))
+           .with_heartbeat()
+           .observability(namespace="acme", quantiles=(0.5, 0.9))
+           .workload("rubis", num_clients=32, think_time=ms(2))
+           .build())
+    app.run(seconds(1))
+    events = tuple((e.time, e.direction, e.backend, repr(e.mean_load),
+                    e.active_after) for e in app.scaler.events)
+    exposition = app.obs.exposition().encode()
+    return (_stats_fp(app), events,
+            tuple((t, active) for t, _, active in app.scaler.samples[:8]),
+            len(app.scaler.samples), app.heartbeat.probes,
+            hashlib.sha256(exposition).hexdigest())
+
+
+def fp_replay(**knobs):
+    """A synthetic flash crowd replayed open-loop on two back-ends."""
+    trace = synthesize_flash_crowd(seconds(1), 150.0)
+    app = (ClusterBuilder(SimConfig(num_backends=2, master_seed=43))
+           .scheme("rdma-sync")
+           .workload("replay", trace=trace, **knobs)
+           .build())
+    app.run(seconds(2))
+    replayer = app.workloads[0]
+    return (_stats_fp(app), replayer.issued, replayer.completed_inline)
+
+
+def fp_federation_chained():
+    app = (ClusterBuilder(SimConfig(num_backends=16, master_seed=44))
+           .scheme("rdma-sync", interval=ms(1))
+           .with_federation(levels=3, leaf_interval=ms(1),
+                            root_interval=ms(1))
+           .workload("rubis", num_clients=16, think_time=ms(5))
+           .build())
+    app.run(ms(300))
+    topo = app.federation.topology
+    return (_stats_fp(app), topo.num_shards,
+            tuple(tuple(s) for s in topo.assignment), app.federation.root.epoch)
+
+
+def fp_plane_knobs():
+    return (
+        ("scaler+heartbeat+obs", fp_scaler_obs()),
+        ("scaler-defaults", fp_scaler()),
+        ("replay-defaults", fp_replay()),
+        ("replay-knobs", fp_replay(time_scale=0.5, load_scale=1.5,
+                                   injectors=4, drain_timeout=ms(77))),
+        ("federation-3level", fp_federation_chained()),
+    )
 
 
 def _verb_mr(node, name, nbytes, value, access):
@@ -313,6 +403,8 @@ GOLDEN_BUILDER_FULL_STACK = (439, '8318072.845102506', 320123159, ((0, 221), (1,
 
 GOLDEN_BUILDER_FEDERATED = (749, '2549712.4606141523', 22358960, ((0, 89), (1, 89), (2, 86), (3, 86), (4, 96), (5, 110), (6, 98), (7, 95)), 31986, ())
 
+GOLDEN_PLANE_KNOBS = (('scaler+heartbeat+obs', ((2421, '9632734.645187939', 103085076, ((0, 832), (1, 825), (2, 764)), 84025), ((39003700, 'up', 2, '0.6572928716741793', 3),), ((13003700, 2), (26003700, 2), (39003700, 2), (52003700, 3), (65003700, 3), (78003700, 3), (91003700, 3), (104003700, 3)), 76, 80, 'a61b82fbe30c068059c4793a350c2486204e3a4c864a252c13c9009aa48a43fc')), ('scaler-defaults', ((1233, '3583755.6350364964', 39569767, ((0, 510), (1, 557), (2, 127), (3, 39)), 44557), ((150000000, 'down', 3, '0.26960478774468166', 3), (300000000, 'down', 2, '0.2243117525901255', 2)), 20, 2)), ('replay-defaults', ((307, '45804135.17915309', 139643134, ((0, 140), (1, 167)), 15429), 307, 307)), ('replay-knobs', ((456, '11080647.368421054', 66427150, ((0, 216), (1, 240)), 19884), 456, 456)), ('federation-3level', ((487, '2522507.8110882957', 15618874, ((0, 30), (1, 33), (2, 25), (3, 30), (4, 27), (5, 23), (6, 37), (7, 28), (8, 32), (9, 34), (10, 34), (11, 25), (12, 29), (13, 32), (14, 39), (15, 29)), 87711), 6, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (12, 13), (14, 15)), 292)))
+
 
 def _check(name, value, regen):
     """Assert ``value`` against the module constant ``name`` — or, under
@@ -374,3 +466,7 @@ def test_golden_builder_federated(regen_goldens):
     app = build_federated()
     assert app.federation is not None
     _check("GOLDEN_BUILDER_FEDERATED", fp_builder(app), regen_goldens)
+
+
+def test_golden_plane_knobs(regen_goldens):
+    _check("GOLDEN_PLANE_KNOBS", fp_plane_knobs(), regen_goldens)

@@ -21,7 +21,6 @@ from repro.tracing.analysis import (
     flame,
     format_trace,
     name_breakdown,
-    percentile_durations,
     trace_summary,
     verb_segment_sum,
 )
@@ -131,9 +130,6 @@ def test_trace_summary_and_percentiles():
     summary = trace_summary(spans)
     assert summary["root"] == "request" and summary["duration_ns"] == 100
     assert summary["critical_path_ns"] == sum(d for _, d in summary["critical_path"])
-    pct = percentile_durations(spans, "db", (0.5, 0.99))
-    assert pct[0.5] == 50.0 and pct[0.99] == 50.0
-    assert percentile_durations(spans, "nope")[0.5] == 0.0
 
 
 # ----------------------------------------------------------------------
