@@ -37,6 +37,8 @@ def main() -> None:
     gmonds = [Gmond(node, channel, interval=1 * SECOND) for node in sim.backends]
     gmetad = Gmetad(sim.frontend, gmonds, interval=2 * SECOND)
     collector = create_scheme(scheme_name, sim, interval=granularity_ms * MILLISECOND)
+    lats = []
+    collector.observers.append(lambda r: lats.append(r.latency))
     gmetric = Gmetric(collector, channel, granularity=granularity_ms * MILLISECOND)
 
     print(f"Running Ganglia with gmetric({scheme_name}) every "
@@ -64,7 +66,6 @@ def main() -> None:
     print(format_table(["host", "fine_load (gmetric)"], rows,
                        title=f"fine-grained metric via {scheme_name}"))
 
-    lats = collector.latencies()
     print(f"\ngmetric published {gmetric.published} rounds; collection "
           f"latency avg {sum(lats) / len(lats) / 1e3:.0f} µs "
           f"(max {max(lats) / 1e3:.0f} µs)")

@@ -28,10 +28,14 @@ def main() -> None:
     # hammering the NIC (the paper's §5.1.1 setup).
     create_workload("background", sim, node=target, threads=24)
 
-    # Deploy all five schemes concurrently, each polling every 50 ms.
+    # Deploy all five schemes concurrently, each polling every 50 ms,
+    # and record every probe's latency.
     monitors = {}
+    latencies = {}
     for name in SCHEME_NAMES:
         scheme = create_scheme(name, sim, interval=50 * MILLISECOND)
+        lats = latencies[name] = []
+        scheme.observers.append(lambda r, lats=lats: lats.append(r.latency))
         monitors[name] = FrontendMonitor(scheme, name=f"mon:{name}")
         monitors[name].start()
 
@@ -41,10 +45,8 @@ def main() -> None:
     print(f"\n{'scheme':14s} {'avg lat':>10s} {'max lat':>10s} "
           f"{'staleness':>10s} {'threads':>8s} {'cpu':>5s} {'runq':>6s}")
     for name, monitor in monitors.items():
-        scheme = monitor.scheme
-        lats = scheme.latencies()
-        info = monitor.load_of(0)
-        assert info is not None
+        lats = latencies[name]
+        info = monitor.latest[0]
         print(f"{name:14s} {fmt_time(int(sum(lats) / len(lats))):>10s} "
               f"{fmt_time(max(lats)):>10s} {fmt_time(info.staleness):>10s} "
               f"{info.nr_threads:8d} {info.cpu_util:5.2f} {info.runq_load:6.2f}")

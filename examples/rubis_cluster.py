@@ -34,6 +34,8 @@ def main() -> None:
                              think_time=3 * MILLISECOND, demand_cv=0.4,
                              burst_length=10, idle_factor=8)
     workload.start()
+    lats = []
+    app.scheme.observers.append(lambda r: lats.append(r.latency))
 
     print(f"Running RUBiS for {duration_s}s of simulated time "
           f"with {scheme} monitoring ...")
@@ -56,7 +58,6 @@ def main() -> None:
                        title=f"RUBiS response times ({scheme})"))
     print(f"\nThroughput: {stats.throughput(duration_s * SECOND):.0f} req/s")
     print(f"Per-backend distribution: {dict(sorted(stats.per_backend_counts().items()))}")
-    lats = app.scheme.latencies()
     print(f"Monitoring latency: avg {sum(lats) / len(lats) / 1e3:.0f} µs, "
           f"max {max(lats) / 1e3:.0f} µs over {len(lats)} queries")
 

@@ -34,7 +34,6 @@ def main() -> None:
     duration_s = int(sys.argv[2]) if len(sys.argv) > 2 else 3
 
     cfg = SimConfig(num_backends=8)
-    cfg.monitor.history_limit = 2048  # bounded front-end history
     app = (ClusterBuilder(cfg)
            .scheme(scheme, interval=50 * MILLISECOND)
            .workers(16)
@@ -70,9 +69,7 @@ def main() -> None:
     raised = [a for a in app.telemetry.engine.log if not a.cleared]
     print(f"Alerts raised: {len(raised)} "
           f"({app.telemetry.engine.counts_by_rule()})")
-    print(f"Monitor polls: {app.monitor.polls}, history retained "
-          f"{len(app.monitor.history)} of "
-          f"{len(app.monitor.history) + app.monitor.history_dropped} entries, "
+    print(f"Monitor polls: {app.monitor.polls}, "
           f"telemetry retained <= {app.telemetry.memory_bound()} samples")
 
 

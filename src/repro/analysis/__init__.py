@@ -1,4 +1,4 @@
-"""Measurement helpers: statistics, ground truth, time series, reports."""
+"""Measurement helpers: statistics, ground truth, reports."""
 
 from repro.analysis.stats import (
     deviation_series,
@@ -7,12 +7,10 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.analysis.truth import GroundTruthSampler
-from repro.analysis.collector import TimeSeries
 from repro.analysis.report import format_table, format_series
 
 __all__ = [
     "GroundTruthSampler",
-    "TimeSeries",
     "deviation_series",
     "format_series",
     "format_table",

@@ -301,11 +301,11 @@ class ClusterBuilder:
 
         Equivalent to setting ``cfg.federation.enabled`` (plus the given
         ``cfg.federation`` fields) before building: leaves poll their
-        shard with the chosen scheme, the root merges leaf snapshots,
-        the dispatcher routes through the shard-then-node balancer, and
-        the flat front-end poller stays idle. ``levels=3`` inserts
-        region aggregators between leaves and root (fan-outs near
-        N^(1/3) — the large-N regime; see docs/FEDERATION.md).
+        shard with the scheme chosen by :meth:`scheme`, the root merges
+        leaf snapshots, the dispatcher routes through the shard-then-node
+        balancer, and the flat front-end poller stays idle. ``levels=3``
+        inserts region aggregators between leaves and root (fan-outs
+        near N^(1/3) — the large-N regime; see docs/FEDERATION.md).
         """
         return self._enable("federation", "with_federation", knobs)
 

@@ -221,10 +221,6 @@ class MonitorConfig:
     extended_bytes: int = 128
     #: CPU cost for the back-end to compose a LoadInfo from /proc output
     compose_cost: int = 2 * US
-    #: FrontendMonitor history bound, entries (0 = unbounded, as the
-    #: paper's short experiment runs want; long-horizon runs set this
-    #: and keep full statistics in repro.telemetry instead)
-    history_limit: int = 0
     #: per-probe timeout, ns (0 disables the whole retry machinery and
     #: keeps every scheme on its historical unbounded-wait code path)
     probe_timeout: int = 0
@@ -259,8 +255,6 @@ class FederationConfig:
     #: number of region aggregators (3-level only); 0 = auto,
     #: ceil(sqrt(num_shards))
     num_regions: int = 0
-    #: scheme each leaf runs over its shard (any registered name)
-    scheme: str = "rdma-sync"
     #: leaf poll period over shard members; 0 = cfg.monitor.interval
     leaf_interval: int = 0
     #: root aggregation period (RDMA-reads every leaf snapshot MR);
@@ -496,8 +490,6 @@ class SimConfig:
             raise ValueError("softirq budget must be >= 1")
         if self.monitor.interval <= 0:
             raise ValueError("monitoring interval must be positive")
-        if self.monitor.history_limit < 0:
-            raise ValueError("history_limit must be >= 0 (0 = unbounded)")
         if self.monitor.probe_timeout < 0:
             raise ValueError("probe_timeout must be >= 0 (0 = disabled)")
         if self.monitor.probe_retries < 0:

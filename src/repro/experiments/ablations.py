@@ -88,6 +88,8 @@ def run_scheduler_wakeups(duration: int = 3 * SECOND) -> ExperimentResult:
         create_workload("background", sim, node=target, threads=32,
                         comm_fraction=0.5)
         scheme = create_scheme("socket-sync", sim, interval=10 * MILLISECOND)
+        lats = []
+        scheme.observers.append(lambda r, lats=lats: lats.append(r.latency))
 
         def poller(k, scheme=scheme):
             while True:
@@ -96,7 +98,6 @@ def run_scheduler_wakeups(duration: int = 3 * SECOND) -> ExperimentResult:
 
         sim.frontend.spawn("ablation-poller", poller)
         sim.run(duration)
-        lats = scheme.latencies()
         latencies.append(sum(lats) / len(lats) / 1000.0 if lats else 0.0)
     result.series["socket_sync_latency_us"] = latencies
     result.notes = (

@@ -36,6 +36,7 @@ from repro.config import SimConfig
 from repro.experiments.common import ExperimentResult
 from repro.federation import deploy_federation
 from repro.hw.cluster import build_cluster
+from repro.monitoring.base import QueryRecord
 from repro.monitoring.registry import SCHEME_NAMES
 from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
 from repro.workloads import create_workload
@@ -236,14 +237,18 @@ def run_one_scheme(
                 staleness.append(info.staleness)
 
         app.federation.root.round_observers.append(observer)
+    else:
+        def on_probe(record: QueryRecord) -> None:
+            if record.ok:
+                staleness.append(record.info.staleness)
+
+        app.scheme.observers.append(on_probe)
     workload = RubisWorkload(
         app.sim, app.dispatcher,
         num_clients=num_clients, think_time=3 * MILLISECOND,
     )
     workload.start()
     app.run(duration)
-    if not federated:
-        staleness = [r.info.staleness for r in app.scheme.records if r.ok]
     times_ms = [t / 1e6 for t in app.dispatcher.stats.response_times()]
     plane = app.sim.congestion
     assert plane is not None

@@ -51,17 +51,19 @@ def run(
         sim = build_cluster(SimConfig(num_backends=1))
         scheme = create_scheme(name, sim, interval=poll_interval)
         monitor = FrontendMonitor(scheme, interval=poll_interval)
+        latencies: List[int] = []
+        staleness: List[int] = []
+        scheme.observers.append(lambda r: latencies.append(r.latency))
+        monitor.observers.append(lambda i, info: staleness.append(info.staleness))
         monitor.start()
         sim.run(duration)
-        idle_lat = mean(scheme.latencies())
-        idle_count = len(scheme.records)
+        idle_count = len(latencies)
+        idle_lat = mean(latencies)
         create_workload("background", sim, node=0, threads=load_threads)
         sim.run(duration * 2)
-        loaded = [r.latency for r in scheme.records[idle_count:]]
         series["idle_latency_us"].append(idle_lat / 1000.0)
-        series["loaded_latency_us"].append(mean(loaded) / 1000.0)
-        series["staleness_ms"].append(
-            mean([info.staleness for _, info in monitor.history[3:]]) / 1e6)
+        series["loaded_latency_us"].append(mean(latencies[idle_count:]) / 1000.0)
+        series["staleness_ms"].append(mean(staleness[3:]) / 1e6)
         series["backend_threads"].append(float(scheme.backend_threads))
 
         # -- perturbation at fine granularity --------------------------------

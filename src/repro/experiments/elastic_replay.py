@@ -131,6 +131,15 @@ def run_cell(
         scaler = ElasticScaler(sim, view=coarse, **knobs)
         cluster.dispatcher.health = scaler
 
+    overloaded = 0  # evaluations with the pool above the watermark
+
+    def on_event(event: dict) -> None:
+        nonlocal overloaded
+        if event["kind"] == "eval" and event["mean_load"] > HIGH_WATER:
+            overloaded += 1
+
+    scaler.observers.append(on_event)
+
     replayer = cluster.workloads and cluster.workloads[0]
     if not replayer:
         from repro.workloads import create_workload
@@ -146,8 +155,7 @@ def run_cell(
     ups = [e for e in scaler.events if e.direction == "up"]
     never = (duration - spike_start) / 1e6  # cap: "never reacted"
     reaction_lag_ms = ((ups[0].time - spike_start) / 1e6 if ups else never)
-    overload_ms = sum(SCALER_INTERVAL for (_, mean, _) in scaler.samples
-                      if mean > HIGH_WATER) / 1e6
+    overload_ms = overloaded * SCALER_INTERVAL / 1e6
     return {
         "view": view,
         "elastic": elastic,

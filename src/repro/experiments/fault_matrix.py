@@ -37,7 +37,7 @@ from repro.config import SimConfig
 from repro.experiments.common import ExperimentResult
 from repro.faults import FaultPlane, parse_schedule
 from repro.hw.cluster import build_cluster
-from repro.monitoring import FrontendMonitor, create_scheme
+from repro.monitoring import FrontendMonitor, QueryRecord, create_scheme
 from repro.monitoring.heartbeat import HeartbeatMonitor, NodeHealth
 from repro.sim.units import MILLISECOND as MS
 
@@ -109,13 +109,19 @@ def run_cell(
         schedule_for(fault, sim.frontend.name, victim, fault_at, fault_until)
     )).install()
     scheme = create_scheme(scheme_name, sim, interval=POLL_INTERVAL)
+    victim_records: List[QueryRecord] = []
+
+    def on_probe(record: QueryRecord) -> None:
+        if record.backend == 0:
+            victim_records.append(record)
+
+    scheme.observers.append(on_probe)
     monitor = FrontendMonitor(scheme)
     monitor.start()
     heartbeat = HeartbeatMonitor(sim, interval=20 * MS, timeout=2 * MS,
                                  hung_after=2)
     sim.run(duration)
 
-    victim_records = [r for r in scheme.records if r.backend == 0]
     detected = next(
         (t.time for t in heartbeat.transitions
          if t.backend == 0 and t.state is not NodeHealth.ALIVE), None)

@@ -41,6 +41,8 @@ def measure_latency(
     create_workload("background", sim, node=target,
                     threads=background_threads)
     scheme = create_scheme(scheme_name, sim, interval=poll_interval)
+    latencies: List[int] = []
+    scheme.observers.append(lambda record: latencies.append(record.latency))
     # Let the background load and (for async schemes) the first buffer
     # update settle before measuring.
     sim.run(warmup)
@@ -53,7 +55,6 @@ def measure_latency(
 
     sim.frontend.spawn("fig3-poller", poller)
     sim.run(warmup + duration)
-    latencies = [r.latency for r in scheme.records]
     if not latencies:
         raise RuntimeError(
             f"no monitoring queries completed for {scheme_name} "

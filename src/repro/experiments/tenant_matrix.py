@@ -37,6 +37,7 @@ from repro.analysis.stats import percentile
 from repro.config import SimConfig
 from repro.experiments.common import ExperimentResult
 from repro.hw.cluster import build_cluster
+from repro.monitoring.base import QueryRecord
 from repro.monitoring.frontend import FrontendMonitor
 from repro.monitoring.registry import ALL_SCHEME_NAMES, create_scheme
 from repro.sim.units import MICROSECOND, MILLISECOND
@@ -109,6 +110,8 @@ def run_cell(
     cfg = _cell_config(defense)
     sim = build_cluster(cfg)
     scheme = create_scheme(scheme_name, sim, interval=poll_interval)
+    records: List[QueryRecord] = []
+    scheme.observers.append(records.append)
     monitor = FrontendMonitor(scheme, interval=poll_interval)
     monitor.start()
     attack_start = duration // 4
@@ -117,7 +120,6 @@ def run_cell(
 
     plane = sim.tenancy
     assert plane is not None
-    records = scheme.records
     row: Dict[str, object] = {
         "scheme": scheme_name,
         "attack": attack,

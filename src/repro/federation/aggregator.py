@@ -98,13 +98,6 @@ class FederatedMonitor:
     def stop(self) -> None:
         self._stopped = True
 
-    # FrontendMonitor cache parity --------------------------------------
-    def load_of(self, backend_index: int) -> Optional[LoadInfo]:
-        return self.latest.get(backend_index)
-
-    def snapshot(self) -> Dict[int, LoadInfo]:
-        return dict(self.latest)
-
     # ------------------------------------------------------------------
     def _body(self, k):
         net = self.sim.cfg.net
@@ -252,23 +245,23 @@ class Federation:
 
 def deploy_federation(
     sim: "ClusterSim",
-    scheme_name: Optional[str] = None,
+    scheme_name: str = "rdma-sync",
     heartbeat=None,
 ) -> Federation:
     """Build the two-level monitoring fabric on a built cluster.
 
     Creates one leaf node per shard (attached to the same fabric,
-    booted, span-traced), deploys a :class:`LeafMonitor` per shard and
-    the root :class:`FederatedMonitor`, starts everything, and — when a
-    fault plane is already installed or a heartbeat monitor is passed —
-    wires quarantine-driven rebalancing. Install the fault plane
+    booted, span-traced), deploys a :class:`LeafMonitor` per shard
+    polling its members with ``scheme_name`` and the root
+    :class:`FederatedMonitor`, starts everything, and — when a fault
+    plane is already installed or a heartbeat monitor is passed — wires
+    quarantine-driven rebalancing. Install the fault plane
     *before* calling this (or use :meth:`Federation.attach_faults`).
     """
     fed = sim.cfg.federation
     if fed.levels not in (2, 3):
         raise ValueError(f"federation.levels must be 2 or 3, got {fed.levels}")
-    name = scheme_name if scheme_name is not None else fed.scheme
-    cls = scheme_class(name)
+    cls = scheme_class(scheme_name)
     # Rebalancing migrates members between shards, which only a scheme
     # deployable over the whole cluster without per-member back-end
     # state can follow; others pin the static assignment.
@@ -292,7 +285,7 @@ def deploy_federation(
         node.boot()
         leaf_nodes.append(node)
     leaves = [
-        LeafMonitor(sim, topology, j, leaf_nodes[j], scheme_name=name)
+        LeafMonitor(sim, topology, j, leaf_nodes[j], scheme_name)
         for j in range(topology.num_shards)
     ]
     regions: List = []

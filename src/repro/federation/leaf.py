@@ -63,14 +63,14 @@ class LeafMonitor:
         topology: ShardTopology,
         shard: int,
         node: "Node",
-        scheme_name: Optional[str] = None,
+        scheme_name: str,
     ) -> None:
         fed = sim.cfg.federation
         self.sim = sim
         self.topology = topology
         self.shard = shard
         self.node = node
-        self.scheme_name = scheme_name if scheme_name is not None else fed.scheme
+        self.scheme_name = scheme_name
         self.interval = fed.leaf_interval or sim.cfg.monitor.interval
         # One-sided schemes with no back-end agent can safely be
         # deployed over the whole cluster (a registration + QP per

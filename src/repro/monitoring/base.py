@@ -4,15 +4,16 @@ A scheme is deployed once onto a built cluster; thereafter any front-end
 task can ``yield from scheme.query(k, i)`` to obtain the freshest
 :class:`~repro.monitoring.loadinfo.LoadInfo` the scheme can provide for
 back-end ``i``, or ``yield from scheme.query_all(k)`` for the batched
-poll the load balancer uses. Every query is recorded (latency, report)
-for the micro-benchmark analyses.
+poll the load balancer uses. Every completed probe is handed, as a
+:class:`QueryRecord`, to the scheme's ``observers`` list; the
+micro-benchmark analyses subscribe there and keep what they need.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional
 
 from repro.faults.retry import RetryPolicy
 from repro.monitoring.loadinfo import LoadInfo
@@ -88,7 +89,9 @@ class MonitoringScheme(abc.ABC):
         self.interval = interval if interval is not None else sim.cfg.monitor.interval
         if self.interval <= 0:
             raise ValueError("monitoring interval must be positive")
-        self.records: List[QueryRecord] = []
+        #: called in order with the :class:`QueryRecord` of every
+        #: completed probe, failures included
+        self.observers: List[Callable[[QueryRecord], None]] = []
         self._stopped = False
         self._deployed = False
         #: probe timeout/retry discipline (disabled by default — the
@@ -170,10 +173,8 @@ class MonitoringScheme(abc.ABC):
                 span: "Optional[Span]" = None, ok: bool = True,
                 attempts: int = 1) -> LoadInfo:
         info.received_at = self.sim.env.now
-        self.records.append(
-            QueryRecord(backend_index, issued_at, self.sim.env.now, info,
-                        ok=ok, attempts=attempts)
-        )
+        if self.observers:
+            self._publish(backend_index, issued_at, info, ok, attempts)
         if ok:
             self._last_good[backend_index] = info
         if span is not None:
@@ -198,14 +199,19 @@ class MonitoringScheme(abc.ABC):
             collected_at=last.collected_at if last is not None else 0,
         )
         info.received_at = self.sim.env.now
-        self.records.append(
-            QueryRecord(backend_index, issued_at, self.sim.env.now, info,
-                        ok=False, attempts=attempts)
-        )
+        if self.observers:
+            self._publish(backend_index, issued_at, info, False, attempts)
         if span is not None:
             self.frontend.span_tracer.end(
                 span, status=STATUS_ERROR, attrs={"attempts": attempts})
         return info
+
+    def _publish(self, backend_index: int, issued_at: int, info: LoadInfo,
+                 ok: bool, attempts: int) -> None:
+        record = QueryRecord(backend_index, issued_at, info.received_at,
+                             info, ok=ok, attempts=attempts)
+        for fn in self.observers:
+            fn(record)
 
     # ------------------------------------------------------------------
     # probe transports under the retry policy
@@ -306,10 +312,6 @@ class MonitoringScheme(abc.ABC):
             "failures": self.failures,
             "stale_drops": self.stale_drops,
         }
-
-    def latencies(self) -> List[int]:
-        """All recorded query latencies, ns."""
-        return [r.latency for r in self.records]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} interval={self.interval}>"

@@ -238,16 +238,13 @@ def collect_monitor(reg: MetricsRegistry, cluster) -> List[MetricFamily]:
     epoch = reg.family("monitor_epoch", "gauge",
                        "Current monitoring epoch of the flat front-end poller.")
     epoch.add(monitor.epoch)
-    dropped = reg.family("monitor_history_dropped", "counter",
-                         "Front-end history entries trimmed by the bound.")
-    dropped.add(monitor.history_dropped)
     probes = reg.family(
         "probe_events", "counter",
         "Probe fault-recovery outcomes by kind (timeouts, retries, naks, "
         "failures, stale replies dropped).")
     for kind, count in sorted(cluster.scheme.fault_stats().items()):
         probes.add(count, kind=kind)
-    return [polls, epoch, dropped, probes]
+    return [polls, epoch, probes]
 
 
 def collect_dispatcher(reg: MetricsRegistry, dispatcher) -> List[MetricFamily]:
@@ -577,6 +574,6 @@ def collect_scaler(reg: MetricsRegistry, scaler) -> List[MetricFamily]:
                   direction=direction)
     load = reg.family("scaler_mean_load", "gauge",
                       "Mean load score over the active pool, last evaluation.")
-    if scaler.samples:
-        load.add(scaler.samples[-1][1])
+    if scaler.mean_load is not None:
+        load.add(scaler.mean_load)
     return [active, parked, evals, moves, load]

@@ -240,8 +240,8 @@ class ElasticScaler:
         #: the reserve, released lowest-index first
         self.parked: Set[int] = set(range(initial_active, n))
         self.events: List[ScaleEvent] = []
-        #: (time, mean active load, active count) per evaluation
-        self.samples: List[tuple] = []
+        #: mean active load at the latest evaluation (None before the first)
+        self.mean_load: Optional[float] = None
         self.evaluations = 0
         self._over = 0
         self._under = 0
@@ -298,7 +298,7 @@ class ElasticScaler:
         if mean is None:
             return  # no coverage yet: not an observation of idleness
         self.evaluations += 1
-        self.samples.append((now, mean, len(self.active)))
+        self.mean_load = mean
         if self.observers:
             event = {"kind": "eval", "t": now, "mean_load": mean,
                      "active": len(self.active)}

@@ -17,14 +17,13 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MICROSECOND, MILLISECOND, NANOSECOND, SECOND, fmt_time
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "EventPriority",
@@ -32,7 +31,6 @@ __all__ = [
     "MICROSECOND",
     "MILLISECOND",
     "NANOSECOND",
-    "PriorityResource",
     "Process",
     "Resource",
     "RngRegistry",

@@ -1,12 +1,10 @@
 """Shared-resource primitives built on the event kernel.
 
-These mirror the classic SimPy resource trio:
+These mirror two of the classic SimPy resources:
 
-* :class:`Resource` — N identical slots, FIFO queueing.
-* :class:`PriorityResource` — slots granted lowest-priority-value-first
-  (FIFO within a priority level).
+* :class:`Resource` — N identical slots, granted lowest-priority-value
+  first (FIFO within a priority level).
 * :class:`Store` — a FIFO buffer of Python objects with blocking get/put.
-* :class:`Container` — a divisible quantity (bytes, tokens).
 
 All waiting is strictly deterministic: queues are explicit lists ordered
 by (priority, arrival sequence).
@@ -124,10 +122,6 @@ class Resource:
         return f"<Resource {self.name} {self.count}/{self.capacity} q={len(self.queue)}>"
 
 
-class PriorityResource(Resource):
-    """Alias with priority-aware requests made explicit in the name."""
-
-
 class StoreGet(Event):
     """Pending retrieval from a :class:`Store`."""
 
@@ -229,81 +223,3 @@ class Store:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Store {self.name} n={len(self.items)}>"
-
-
-class ContainerGet(Event):
-    __slots__ = ("container", "amount")
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        super().__init__(container.env, name=f"cget:{container.name}")
-        self.container = container
-        self.amount = amount
-        container._getters.append(self)
-        container._dispatch()
-
-
-class ContainerPut(Event):
-    __slots__ = ("container", "amount")
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        super().__init__(container.env, name=f"cput:{container.name}")
-        self.container = container
-        self.amount = amount
-        container._putters.append(self)
-        container._dispatch()
-
-
-class Container:
-    """A divisible quantity with blocking get/put (e.g. buffer bytes)."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "container",
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.name = name
-        self.capacity = capacity
-        self.level = init
-        self._getters: List[ContainerGet] = []
-        self._putters: List[ContainerPut] = []
-
-    def get(self, amount: float) -> ContainerGet:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        return ContainerGet(self, amount)
-
-    def put(self, amount: float) -> ContainerPut:
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        if amount > self.capacity:
-            raise ValueError("amount exceeds container capacity")
-        return ContainerPut(self, amount)
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                put = self._putters[0]
-                if self.level + put.amount <= self.capacity:
-                    self._putters.pop(0)
-                    self.level += put.amount
-                    put.succeed()
-                    progress = True
-            if self._getters:
-                get = self._getters[0]
-                if self.level >= get.amount:
-                    self._getters.pop(0)
-                    self.level -= get.amount
-                    get.succeed()
-                    progress = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Container {self.name} {self.level}/{self.capacity}>"

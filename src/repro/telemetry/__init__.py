@@ -1,11 +1,11 @@
 """Bounded metric plane over the monitoring front-end (beyond the paper).
 
 The paper's front-end keeps only the freshest :class:`LoadInfo` per
-back-end (plus an unbounded history list useful for short experiment
-runs). Long-horizon deployments need the layer real monitoring planes
-add on top: bounded retention with tiered downsampling, streaming
-aggregates, anomaly detection, and an alert engine whose output the
-control loops (load balancing, admission) can act on.
+back-end and hands every report to its observers. Long-horizon
+deployments need the layer real monitoring planes add on top:
+bounded retention with tiered downsampling, streaming aggregates,
+anomaly detection, and an alert engine whose output the control
+loops (load balancing, admission) can act on.
 
 Everything here runs *on the front end only* and is driven purely by
 observer callbacks — it consumes zero simulated time and zero back-end

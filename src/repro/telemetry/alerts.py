@@ -31,6 +31,30 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.telemetry.anomaly import EwmaDetector
 
 
+#: the engine keys every alert by one int: a back-end index (>= 0), a
+#: shard rollup (-1 … -TENANT_BASE) or a tenant window (below that)
+TENANT_BASE = 1000
+
+
+def shard_alert_id(shard: int) -> int:
+    """Alert id of shard ``shard``'s rollup alerts."""
+    return -(shard + 1)
+
+
+def tenant_alert_id(tenant: int) -> int:
+    """Alert id of tenant ``tenant``'s offender alerts."""
+    return -(TENANT_BASE + tenant + 1)
+
+
+def alert_subject(alert_id: int) -> str:
+    """What an alert id names: ``backend3``, ``shard0`` or ``tenant2``."""
+    if alert_id >= 0:
+        return f"backend{alert_id}"
+    if alert_id >= -TENANT_BASE:
+        return f"shard{-alert_id - 1}"
+    return f"tenant{-alert_id - TENANT_BASE - 1}"
+
+
 class Severity(enum.IntEnum):
     """Ordered so comparisons like ``sev >= Severity.WARNING`` work."""
 
@@ -41,7 +65,8 @@ class Severity(enum.IntEnum):
 
 @dataclass
 class Alert:
-    """One raised (or cleared) condition on one back-end."""
+    """One raised (or cleared) condition on one back-end, shard or
+    tenant (``backend`` is its id; see :func:`alert_subject`)."""
 
     time: int
     rule: str
@@ -54,7 +79,8 @@ class Alert:
 
     def describe(self) -> str:
         state = "cleared" if self.cleared else self.severity.name
-        return f"[{state}] backend{self.backend} {self.rule}: {self.message}"
+        return (f"[{state}] {alert_subject(self.backend)} {self.rule}: "
+                f"{self.message}")
 
 
 class Rule:

@@ -17,6 +17,7 @@ import math
 from typing import TYPE_CHECKING, List, Sequence
 
 from repro.analysis.report import format_table
+from repro.telemetry.alerts import alert_subject
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.pipeline import TelemetryPipeline
@@ -183,7 +184,7 @@ def dashboard(pipeline: "TelemetryPipeline", sparkline_width: int = 48) -> str:
     log = pipeline.engine.log
     if log:
         alert_rows = [
-            [f"{a.time / 1e9:.3f}s", a.rule, f"backend{a.backend}",
+            [f"{a.time / 1e9:.3f}s", a.rule, alert_subject(a.backend),
              "cleared" if a.cleared else a.severity.name, a.message]
             for a in log
         ]

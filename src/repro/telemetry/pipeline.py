@@ -29,6 +29,8 @@ from repro.telemetry.alerts import (
     Severity,
     StalenessRule,
     ThresholdRule,
+    shard_alert_id,
+    tenant_alert_id,
 )
 from repro.telemetry.digest import StreamingDigest
 from repro.telemetry.ringstore import RingStore
@@ -117,9 +119,10 @@ class TelemetryPipeline:
         — mean cpu_util / runq_load, max staleness, routable member
         count — into rings and digests keyed ``s<j>.<metric>``, and
         evaluates the sample-driven alert rules per shard. Shard alerts
-        are keyed ``backend = -(shard + 1)``: negative ids keep them
-        disjoint from per-back-end alerts and mean shedding policies
-        (which match non-negative back-end indices) never act on them.
+        are keyed :func:`~repro.telemetry.alerts.shard_alert_id`: negative
+        ids keep them disjoint from per-back-end alerts and mean shedding
+        policies (which match non-negative back-end indices) never act
+        on them.
         """
         topology, root = federation.topology, federation.root
         root.round_observers.append(
@@ -144,10 +147,10 @@ class TelemetryPipeline:
 
         Each defense window feeds per-tenant attempted-rate rings keyed
         ``t<k>.<metric>`` and evaluates a ``tenant-offender`` threshold
-        rule. Tenant alerts are keyed ``backend = -(1000 + k + 1)``:
-        negative ids keep them disjoint from per-back-end alerts (and
-        the -1…-999 band shard rollups use), and shedding policies never
-        act on them.
+        rule. Tenant alerts are keyed
+        :func:`~repro.telemetry.alerts.tenant_alert_id`: negative ids
+        below the shard band keep them disjoint from per-back-end and
+        shard alerts, and shedding policies never act on them.
         """
         if not any(r.name == "tenant-offender" for r in self.engine.rules):
             self.engine.add_rule(ThresholdRule(
@@ -199,7 +202,7 @@ class TelemetryPipeline:
         }
         for metric, value in sample.items():
             self._add(f"t{tid}.{metric}", t, value)
-        self.engine.observe(-(1000 + tid + 1), t, sample)
+        self.engine.observe(tenant_alert_id(tid), t, sample)
 
     def observe_congestion(self, plane, event: dict) -> None:
         """Ingest one congestion-plane event (enqueue / pause / cnp)."""
@@ -231,7 +234,7 @@ class TelemetryPipeline:
             }
             for metric, value in sample.items():
                 self._add(f"s{j}.{metric}", now, value)
-            self.engine.observe(-(j + 1), now, sample)
+            self.engine.observe(shard_alert_id(j), now, sample)
 
     # ------------------------------------------------------------------
     def observe(self, backend: int, info: LoadInfo) -> None:

@@ -1,9 +1,7 @@
-"""Tests for statistics helpers, time series and reports."""
+"""Tests for statistics helpers and reports."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.collector import TimeSeries
 from repro.analysis.report import format_series, format_table
 from repro.analysis.stats import deviation_series, mean, percentile, summarize
 
@@ -50,38 +48,6 @@ def test_deviation_series_before_first_truth():
 
 def test_deviation_series_empty_truth():
     assert deviation_series([(1, 1.0)], []) == []
-
-
-def test_timeseries_add_get():
-    ts = TimeSeries()
-    ts.add("a", 10, 1.0)
-    ts.add("a", 20, 2.0)
-    assert ts.get("a") == [(10, 1.0), (20, 2.0)]
-    assert list(ts.values("a")) == [1.0, 2.0]
-    assert ts.names() == ["a"]
-
-
-def test_timeseries_window_mean():
-    ts = TimeSeries()
-    for t, v in [(0, 1.0), (10, 3.0), (20, 5.0)]:
-        ts.add("x", t, v)
-    assert ts.window_mean("x", 0, 15) == 2.0
-    assert ts.window_mean("x", 100, 200) == 0.0
-
-
-def test_timeseries_resample_step_hold():
-    ts = TimeSeries()
-    ts.add("x", 0, 1.0)
-    ts.add("x", 100, 2.0)
-    grid, vals = ts.resample("x", step=50, start=0, end=150)
-    assert list(grid) == [0, 50, 100, 150]
-    assert list(vals) == [1.0, 1.0, 2.0, 2.0]
-
-
-def test_timeseries_resample_empty():
-    ts = TimeSeries()
-    grid, vals = ts.resample("missing", step=10)
-    assert len(grid) == 0 and len(vals) == 0
 
 
 def test_format_table_alignment():

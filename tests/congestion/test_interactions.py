@@ -136,10 +136,12 @@ def test_verb_naks_race_dcqcn_rate_cut():
     create_workload("incast", sim, target=sim.frontend, sources=sim.backends,
                     flows_per_source=4)
     scheme = create_scheme("rdma-sync", sim)
+    probes = []
+    scheme.observers.append(probes.append)
     FrontendMonitor(scheme).start()
     sim.run(ms(120))
 
-    records = [r for r in scheme.records if r.backend == 0]
+    records = [r for r in probes if r.backend == 0]
     during = [r for r in records if ms(20) < r.completed_at < ms(60)]
     after = [r for r in records if r.completed_at > ms(65)]
     assert any(not r.ok for r in during), "NAK window produced no failures"

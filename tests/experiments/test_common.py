@@ -19,7 +19,7 @@ def test_deploy_wires_everything():
     assert app.admission is None
     app.run(seconds(1))
     assert app.monitor.polls > 20
-    assert all(app.monitor.load_of(i) is not None for i in range(3))
+    assert sorted(app.monitor.latest) == [0, 1, 2]
 
 
 def test_deploy_extended_scheme_enables_irq_scoring():

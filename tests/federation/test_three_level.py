@@ -71,9 +71,6 @@ def test_root_view_covers_every_backend_through_regions():
     assert all(r.read_failures == 0 for r in fed.regions)
     assert all(r.epoch > 5 for r in fed.regions)
     assert all(r.published == r.epoch for r in fed.regions)
-    # FrontendMonitor cache parity survives the extra tier.
-    assert fed.root.load_of(0) is fed.root.latest[0]
-    assert fed.root.snapshot() == fed.root.latest
     # Merged global digests exist for every snapshot metric, rebuilt
     # from the regions' pre-merged states.
     for metric in ("cpu_util", "runq_load", "nr_running", "staleness"):

@@ -69,7 +69,7 @@ def test_schemes_deliver_net_rate_under_traffic():
     mon = FrontendMonitor(scheme)
     mon.start()
     sim.run(seconds(2))
-    info = mon.load_of(0)
+    info = mon.latest[0]
     assert info.net_rate_mbps > 1.0, info.net_rate_mbps
     # The blaster's own node reports its TX as network load too.
-    assert mon.load_of(1).net_rate_mbps > 1.0
+    assert mon.latest[1].net_rate_mbps > 1.0

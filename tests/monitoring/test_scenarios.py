@@ -18,9 +18,11 @@ def test_interrupt_storm_visible_only_to_extended_scheme():
                     comm_fraction=1.0, message_interval=ms(2), burst=12)
     extended = create_scheme("e-rdma-sync", sim, interval=ms(10))
     mon = FrontendMonitor(extended)
+    reports = []
+    mon.observers.append(lambda i, info: reports.append((i, info)))
     mon.start()
     sim.run(seconds(3))
-    infos = [info for i, info in mon.history if i == 0]
+    infos = [info for i, info in reports if i == 0]
     # Interrupt pressure shows up in a solid fraction of samples — a
     # signal the plain CPU metrics do not carry at all.
     pressured = sum(1 for info in infos if info.irq_pressure > 0)
@@ -51,7 +53,7 @@ def test_burst_detection_latency_fresh_vs_stale():
         while detected is None and t < burst_time + seconds(2):
             t += ms(5)
             sim.run(t)
-            info = mon.load_of(0)
+            info = mon.latest.get(0)
             if info is not None and info.runq_load > 3.0:
                 detected = sim.env.now
         assert detected is not None, name
@@ -86,7 +88,7 @@ def test_monitoring_survives_backend_task_churn():
     sim.run(seconds(3))
     for m in monitors:
         assert m.polls > 50
-        info = m.load_of(0)
+        info = m.latest.get(0)
         assert info is not None and info.nr_threads >= 2
 
 
@@ -126,7 +128,7 @@ def test_all_schemes_agree_on_quiet_cluster():
         monitors[name] = FrontendMonitor(scheme, name=f"mon-{name}")
         monitors[name].start()
     sim.run(seconds(2))
-    loads = {name: m.load_of(0) for name, m in monitors.items()}
+    loads = {name: m.latest[0] for name, m in monitors.items()}
     base_threads = loads["rdma-sync"].nr_threads
     for name, info in loads.items():
         # Within each other's own monitoring footprint (±4 threads).

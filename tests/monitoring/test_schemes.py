@@ -29,9 +29,17 @@ def poll_once_per_interval(sim, scheme, duration_ms=1000):
 def test_scheme_delivers_load_info(name):
     sim = build_cluster(SimConfig(num_backends=2))
     scheme = create_scheme(name, sim, interval=ms(50))
-    mon = poll_once_per_interval(sim, scheme, 500)
+    mon = FrontendMonitor(scheme)
+    delivered = []
+    mon.observers.append(lambda i, info: delivered.append((i, info)))
+    mon.start()
+    sim.run(ms(500))
+    # Observers see every report in delivery order; ``latest`` holds the
+    # freshest one per back-end.
+    assert [i for i, _ in delivered] == [0, 1] * mon.polls
+    assert mon.latest == dict(delivered[-2:])
     for i in range(2):
-        info = mon.load_of(i)
+        info = mon.latest.get(i)
         assert info is not None, f"{name} produced no report for backend {i}"
         assert info.backend == sim.backends[i].name
         assert info.nr_threads >= 2  # at least the ksoftirqd threads
@@ -42,8 +50,9 @@ def test_scheme_delivers_load_info(name):
 def test_scheme_records_latencies(name):
     sim = build_cluster(SimConfig(num_backends=1))
     scheme = create_scheme(name, sim, interval=ms(20))
+    lats = []
+    scheme.observers.append(lambda r: lats.append(r.latency))
     poll_once_per_interval(sim, scheme, 500)
-    lats = scheme.latencies()
     assert len(lats) >= 10
     assert all(lat > 0 for lat in lats)
 
@@ -95,14 +104,16 @@ def test_rdma_sync_latency_flat_under_load():
     """The headline Fig 3 property at scheme level."""
     sim = build_cluster(SimConfig(num_backends=1))
     scheme = create_scheme("rdma-sync", sim, interval=ms(10))
+    lats = []
+    scheme.observers.append(lambda r: lats.append(r.latency))
     mon = FrontendMonitor(scheme)
     mon.start()
     sim.run(ms(500))
-    idle_avg = sum(scheme.latencies()) / len(scheme.latencies())
+    idle_avg = sum(lats) / len(lats)
     spawn_hogs(sim.backends[0], 16)
-    n_before = len(scheme.records)
+    n_before = len(lats)
     sim.run(ms(1500))
-    loaded = [r.latency for r in scheme.records[n_before:]]
+    loaded = lats[n_before:]
     loaded_avg = sum(loaded) / len(loaded)
     assert abs(loaded_avg - idle_avg) < us(5), (idle_avg, loaded_avg)
 
@@ -110,14 +121,16 @@ def test_rdma_sync_latency_flat_under_load():
 def test_socket_sync_latency_grows_under_load():
     sim = build_cluster(SimConfig(num_backends=1))
     scheme = create_scheme("socket-sync", sim, interval=ms(10))
+    lats = []
+    scheme.observers.append(lambda r: lats.append(r.latency))
     mon = FrontendMonitor(scheme)
     mon.start()
     sim.run(ms(500))
-    idle_avg = sum(scheme.latencies()) / len(scheme.latencies())
+    idle_avg = sum(lats) / len(lats)
     spawn_hogs(sim.backends[0], 32)
-    n_before = len(scheme.records)
+    n_before = len(lats)
     sim.run(ms(3000))
-    loaded = [r.latency for r in scheme.records[n_before:]]
+    loaded = lats[n_before:]
     loaded_avg = sum(loaded) / len(loaded)
     # /proc scan over 32 extra tasks alone adds ~1 ms.
     assert loaded_avg > idle_avg + us(500), (idle_avg, loaded_avg)
@@ -129,9 +142,11 @@ def test_async_schemes_report_stale_data():
     interval = ms(80)
     scheme = create_scheme("rdma-async", sim, interval=interval)
     mon = FrontendMonitor(scheme, interval=ms(20))
+    stale = []
+    mon.observers.append(lambda i, info: stale.append(info.staleness))
     mon.start()
     sim.run(ms(2000))
-    stale = [info.staleness for _, info in mon.history[5:]]
+    stale = stale[5:]
     assert max(stale) > ms(40)
     assert all(s < ms(200) for s in stale)
 
@@ -140,9 +155,10 @@ def test_rdma_sync_reports_fresh_data():
     sim = build_cluster(SimConfig(num_backends=1))
     scheme = create_scheme("rdma-sync", sim, interval=ms(20))
     mon = FrontendMonitor(scheme)
+    stale = []
+    mon.observers.append(lambda i, info: stale.append(info.staleness))
     mon.start()
     sim.run(ms(1000))
-    stale = [info.staleness for _, info in mon.history]
     assert all(s < us(50) for s in stale)
 
 
@@ -152,7 +168,7 @@ def test_e_rdma_sync_reports_irq_detail():
     mon = FrontendMonitor(scheme)
     mon.start()
     sim.run(ms(500))
-    info = mon.load_of(0)
+    info = mon.latest[0]
     assert info.irq_pending is not None and len(info.irq_pending) == 2
     assert info.irq_handled is not None
 
@@ -163,7 +179,7 @@ def test_plain_schemes_omit_irq_detail():
     mon = FrontendMonitor(scheme)
     mon.start()
     sim.run(ms(500))
-    assert mon.load_of(0).irq_pending is None
+    assert mon.latest[0].irq_pending is None
 
 
 def test_with_irq_detail_flag_enables_detail_everywhere():
@@ -173,7 +189,7 @@ def test_with_irq_detail_flag_enables_detail_everywhere():
         mon = FrontendMonitor(scheme)
         mon.start()
         sim.run(ms(800))
-        info = mon.load_of(0)
+        info = mon.latest.get(0)
         assert info is not None and info.irq_pending is not None, name
 
 

@@ -13,7 +13,7 @@ def test_push_scheme_delivers_load_info():
     mon.start()
     sim.run(seconds(1))
     for i in range(2):
-        info = mon.load_of(i)
+        info = mon.latest.get(i)
         assert info is not None
         assert info.backend == sim.backends[i].name
         assert info.collected_at > 0
@@ -23,10 +23,11 @@ def test_push_query_latency_is_local():
     """Decision-time queries never touch the wire."""
     sim = build_cluster(SimConfig(num_backends=1))
     scheme = create_scheme("rdma-write-push", sim, interval=ms(20))
+    lats = []
+    scheme.observers.append(lambda r: lats.append(r.latency))
     mon = FrontendMonitor(scheme)
     mon.start()
     sim.run(seconds(1))
-    lats = scheme.latencies()
     assert max(lats) < us(10), max(lats)
 
 
@@ -34,9 +35,11 @@ def test_push_staleness_bounded_by_interval():
     sim = build_cluster(SimConfig(num_backends=1))
     scheme = create_scheme("rdma-write-push", sim, interval=ms(40))
     mon = FrontendMonitor(scheme, interval=ms(10))
+    stale = []
+    mon.observers.append(lambda i, info: stale.append(info.staleness))
     mon.start()
     sim.run(seconds(2))
-    stale = [info.staleness for _, info in mon.history[5:]]
+    stale = stale[5:]
     # Data ages up to ~one push interval (plus scheduling slop).
     assert max(stale) > ms(20)
     assert max(stale) < ms(150)

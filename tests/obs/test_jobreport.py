@@ -118,3 +118,17 @@ def test_untraced_cluster_reports_zero_traces():
         assert block["critical_path"]["traces"] == 0
         assert block["critical_path"]["total_us"] == 0.0
     assert "<no traces>" in report.render()
+
+
+def test_federated_cluster_reports_the_routed_view_polls():
+    """The polls count is the view the dispatcher routes on: the
+    federated root, not the idle flat poller."""
+    from repro.api import ClusterBuilder
+
+    cluster = (ClusterBuilder(SimConfig(num_backends=8, master_seed=19))
+               .with_federation(num_shards=2, leaf_interval=5 * MILLISECOND)
+               .build())
+    cluster.run(200 * MILLISECOND)
+    polls = build_job_report(cluster).payload["monitoring"]["polls"]
+    assert cluster.monitor.polls == 0
+    assert polls == cluster.federation.root.polls == 40

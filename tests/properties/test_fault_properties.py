@@ -26,7 +26,7 @@ from repro.workloads.rubis import RubisWorkload
 SEEDS = (1234, 0x5EED)
 
 
-def _fingerprint(app):
+def _fingerprint(app, probes):
     stats = app.dispatcher.stats
     return (
         stats.count(),
@@ -36,7 +36,7 @@ def _fingerprint(app):
         app.monitor.polls,
         app.sim.env.processed_events,
         tuple((r.backend, r.issued_at, r.completed_at, r.latency)
-              for r in app.scheme.records),
+              for r in probes),
     )
 
 
@@ -46,19 +46,21 @@ def _run_app(seed, *, with_plane, scheme_name="rdma-sync"):
     if with_plane:
         builder.with_faults(FaultSchedule())
     app = builder.build()
+    probes = []
+    app.scheme.observers.append(probes.append)
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))
-    return app
+    return app, probes
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scheme_name", ["rdma-sync", "socket-async"])
 def test_empty_schedule_is_bit_identical(seed, scheme_name):
-    bare = _run_app(seed, with_plane=False, scheme_name=scheme_name)
-    hooked = _run_app(seed, with_plane=True, scheme_name=scheme_name)
+    bare, bare_probes = _run_app(seed, with_plane=False, scheme_name=scheme_name)
+    hooked, hooked_probes = _run_app(seed, with_plane=True, scheme_name=scheme_name)
     assert hooked.faults is not None
-    assert _fingerprint(bare) == _fingerprint(hooked)
+    assert _fingerprint(bare, bare_probes) == _fingerprint(hooked, hooked_probes)
     # The plane never acted and never drew randomness.
     assert hooked.faults.stats() == {
         "applied": 0, "revoked": 0, "dropped_packets": 0,
@@ -73,6 +75,8 @@ def _probe_trace(seed, scheme_name, enable_retry):
         cfg.monitor.probe_backoff = ms(1)
     sim = build_cluster(cfg)
     scheme = create_scheme(scheme_name, sim, interval=ms(10))
+    probes = []
+    scheme.observers.append(probes.append)
 
     def poller(k):
         # Per-backend queries: the retry wrapper around one probe is the
@@ -87,8 +91,7 @@ def _probe_trace(seed, scheme_name, enable_retry):
     sim.run(seconds(1))
     assert scheme.fault_stats()["failures"] == 0
     assert scheme.fault_stats()["retries"] == 0
-    return [(r.backend, r.issued_at, r.completed_at, r.ok)
-            for r in scheme.records]
+    return [(r.backend, r.issued_at, r.completed_at, r.ok) for r in probes]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -21,7 +21,7 @@ from repro.workloads.rubis import RubisWorkload
 SEEDS = (1234, 0x5EED)
 
 
-def _fingerprint(app):
+def _fingerprint(app, probes):
     stats = app.dispatcher.stats
     return (
         stats.count(),
@@ -31,7 +31,7 @@ def _fingerprint(app):
         app.monitor.polls,
         app.sim.env.processed_events,
         tuple((r.backend, r.issued_at, r.completed_at, r.latency)
-              for r in app.scheme.records),
+              for r in probes),
     )
 
 
@@ -40,31 +40,32 @@ def _run_app(seed, *, touch_knobs=False, enabled=False):
     if touch_knobs:
         # Every non-enabling knob moved off its default.
         cfg.federation.num_shards = 2
-        cfg.federation.scheme = "e-rdma-sync"
         cfg.federation.leaf_interval = ms(7)
         cfg.federation.root_interval = ms(9)
         cfg.federation.digest_compression = 32
         cfg.federation.rebalance_on_quarantine = False
     cfg.federation.enabled = enabled
     app = ClusterBuilder(cfg).scheme("rdma-sync", interval=ms(50)).build()
+    probes = []
+    app.scheme.observers.append(probes.append)
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))
-    return app
+    return app, probes
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_disabled_federation_is_bit_identical(seed):
-    plain = _run_app(seed)
-    knobbed = _run_app(seed, touch_knobs=True)
+    plain, plain_probes = _run_app(seed)
+    knobbed, knobbed_probes = _run_app(seed, touch_knobs=True)
     assert knobbed.federation is None
-    assert _fingerprint(plain) == _fingerprint(knobbed)
+    assert _fingerprint(plain, plain_probes) == _fingerprint(knobbed, knobbed_probes)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_enabled_federation_is_deterministic(seed):
-    a = _run_app(seed, enabled=True)
-    b = _run_app(seed, enabled=True)
+    a, _ = _run_app(seed, enabled=True)
+    b, _ = _run_app(seed, enabled=True)
     assert a.federation is not None and b.federation is not None
 
     def fed_fingerprint(app):

@@ -1,7 +1,7 @@
 """Properties the replay/scaler planes guarantee.
 
 1. **Deterministic when on**: two same-seed elastic runs agree on every
-   scale event, sample and request outcome; same for trace replays.
+   scale event, evaluation and request outcome; same for trace replays.
 2. **Synthesis is stream-isolated**: generating a trace off a sim
    never perturbs an unrelated named stream.
 
@@ -19,7 +19,17 @@ from repro.workloads.rubis import RubisWorkload
 SEEDS = (1234, 0x5EED)
 
 
-def _fingerprint(app):
+def _subscribe(app):
+    """Record every probe and scaler event of ``app`` from here on."""
+    seen = []
+    app.scheme.observers.append(
+        lambda r: seen.append((r.backend, r.issued_at, r.completed_at, r.latency)))
+    if app.scaler is not None:
+        app.scaler.observers.append(lambda e: seen.append(tuple(sorted(e.items()))))
+    return seen
+
+
+def _fingerprint(app, seen):
     stats = app.dispatcher.stats
     return (
         stats.count(),
@@ -28,8 +38,7 @@ def _fingerprint(app):
         tuple(sorted(stats.per_backend_counts().items())),
         app.monitor.polls,
         app.sim.env.processed_events,
-        tuple((r.backend, r.issued_at, r.completed_at, r.latency)
-              for r in app.scheme.records),
+        tuple(seen),
     )
 
 
@@ -42,21 +51,20 @@ def _run_elastic(seed):
                                 min_active=2, max_active=3, up_after=2,
                                 down_after=5, cooldown=ms(200))
            .build())
+    seen = _subscribe(app)
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))
-    return app
+    return app, seen
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_elastic_runs_are_deterministic(seed):
     runs = [_run_elastic(seed) for _ in range(2)]
-    assert _fingerprint(runs[0]) == _fingerprint(runs[1])
+    assert _fingerprint(*runs[0]) == _fingerprint(*runs[1])
     events = [tuple((e.time, e.direction, e.backend, e.active_after)
-                    for e in app.scaler.events) for app in runs]
+                    for e in app.scaler.events) for app, _ in runs]
     assert events[0] == events[1]
-    samples = [tuple(app.scaler.samples) for app in runs]
-    assert samples[0] == samples[1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -69,11 +77,12 @@ def test_replay_is_deterministic(seed):
     for _ in range(2):
         cfg = SimConfig(num_backends=2, master_seed=seed)
         app = ClusterBuilder(cfg).scheme("rdma-sync").build()
+        seen = _subscribe(app)
         replayer = create_workload("replay", app.sim, app.dispatcher,
                                    trace=trace, load_scale=1.5)
         replayer.start()
         app.run(seconds(2))
-        prints.append((replayer.issued, _fingerprint(app)))
+        prints.append((replayer.issued, _fingerprint(app, seen)))
     assert prints[0] == prints[1]
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=50))
@@ -89,31 +89,3 @@ def test_store_preserves_fifo_order(items):
     env.process(consumer())
     env.run()
     assert got == items
-
-
-@given(
-    amounts=st.lists(st.integers(1, 50), min_size=1, max_size=20),
-    capacity=st.integers(50, 200),
-)
-@settings(max_examples=50, deadline=None)
-def test_container_conserves_quantity(amounts, capacity):
-    """Total put == total got + residual level."""
-    env = Environment()
-    tank = Container(env, capacity=capacity)
-    total_put = sum(amounts)
-    got = [0]
-
-    def producer():
-        for a in amounts:
-            yield tank.put(a)
-            yield env.timeout(1)
-
-    def consumer():
-        while got[0] < total_put:
-            yield tank.get(1)
-            got[0] += 1
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got[0] + tank.level == total_put

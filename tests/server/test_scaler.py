@@ -63,13 +63,17 @@ def test_scales_up_on_sustained_overload():
     sim = build_cluster(SimConfig(num_backends=4))
     view = FakeView()
     scaler = _scaler(sim, view, initial_active=2, up_after=2)
+    events = []
+    scaler.observers.append(events.append)
     view.set_all(range(4), runq=8, cpu=0.9)
     sim.run(ms(100))
     ups = [e for e in scaler.events if e.direction == "up"]
     assert ups and ups[0].backend == 2  # lowest parked index first
     assert len(scaler.active) > 2
-    # The observer stream and samples record the evaluations.
-    assert scaler.evaluations >= len(scaler.samples) > 0
+    # The observer stream carries every evaluation; mean_load the latest.
+    evals = [e["mean_load"] for e in events if e["kind"] == "eval"]
+    assert scaler.evaluations == len(evals) > 0
+    assert scaler.mean_load == evals[-1]
 
 
 def test_scales_down_on_sustained_idleness_and_respects_min():
@@ -155,7 +159,7 @@ def test_builder_wires_scaler_into_routing_and_spans():
     scaler = cluster.scaler
     assert scaler is not None
     ups = [e for e in scaler.events if e.direction == "up"]
-    assert ups, scaler.samples[-5:]
+    assert ups, scaler.mean_load
     # Routing honoured the pool: parked back-ends got no requests while
     # parked (backend 3 is released last, if at all).
     counts = cluster.dispatcher.stats.per_backend_counts()

@@ -1,9 +1,9 @@
-"""Tests for Resource / Store / Container primitives."""
+"""Tests for the Resource and Store primitives."""
 
 import pytest
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -220,57 +220,3 @@ def test_store_try_get():
     env.run()
     ok, item = store.try_get()
     assert ok and item == 5
-
-
-def test_container_get_blocks_until_level():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    got = []
-
-    def consumer():
-        yield tank.get(40)
-        got.append(env.now)
-
-    def producer():
-        yield env.timeout(10)
-        yield tank.put(25)
-        yield env.timeout(10)
-        yield tank.put(25)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [20]
-    assert tank.level == 10
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=50, init=50)
-    events = []
-
-    def producer():
-        yield tank.put(10)
-        events.append(env.now)
-
-    def consumer():
-        yield env.timeout(40)
-        yield tank.get(20)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert events == [40]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=20)
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.get(0)
-    with pytest.raises(ValueError):
-        tank.put(11)

@@ -7,6 +7,7 @@ from repro.config import SimConfig
 from repro.monitoring.heartbeat import HealthRecord, NodeHealth
 from repro.monitoring.loadinfo import LoadInfo
 from repro.sim.units import MILLISECOND, SECOND
+from repro.telemetry.alerts import shard_alert_id, tenant_alert_id
 from repro.telemetry.digest import StreamingDigest
 from repro.telemetry.export import (NO_DATA, _round, dashboard, sparkline,
                                     to_jsonl, write_jsonl)
@@ -107,6 +108,18 @@ def test_dashboard_sections():
     assert "heartbeat-miss" in out
     assert "Raised by rule:" in out
     assert "Retention: observations=8" in out
+
+
+def test_alert_log_names_shard_and_tenant_subjects():
+    pipe = TelemetryPipeline()
+    for t, alert_id in enumerate((3, shard_alert_id(0), tenant_alert_id(2))):
+        pipe.engine.observe(alert_id, t, {"cpu_util": 0.97})
+    subjects = [a.describe().split()[1] for a in pipe.engine.log]
+    assert subjects == ["backend3", "shard0", "tenant2"]
+    log = dashboard(pipe).split("Alert log", 1)[1]
+    for subject in subjects:
+        assert f" {subject} " in log
+    assert "backend-" not in log
 
 
 def test_dashboard_empty_pipeline():

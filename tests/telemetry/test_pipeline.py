@@ -1,4 +1,4 @@
-"""Pipeline wiring: observer chaining, bounded history, 1e6-poll bound."""
+"""Pipeline wiring: observer chaining, 1e6-poll bound."""
 
 import numpy as np
 import pytest
@@ -19,15 +19,12 @@ class StubScheme:
     def __init__(self):
         from types import SimpleNamespace
 
-        self.sim = SimpleNamespace(
-            cfg=SimpleNamespace(monitor=SimpleNamespace(history_limit=0)),
-            frontend=None,
-        )
+        self.sim = SimpleNamespace(frontend=None)
         self.interval = 1
 
 
-def make_monitor(**kw) -> FrontendMonitor:
-    return FrontendMonitor(StubScheme(), **kw)
+def make_monitor() -> FrontendMonitor:
+    return FrontendMonitor(StubScheme())
 
 
 def info_for(backend: int, t: int, cpu: float, runq: float = 1.0) -> LoadInfo:
@@ -60,31 +57,11 @@ def test_pipeline_tracks_all_default_metrics():
     assert pipe.digest(1, "staleness").mean == 1000.0
 
 
-def test_bounded_history_mode():
-    monitor = make_monitor(history_limit=100)
-    for t in range(1000):
-        monitor._record(0, info_for(0, t, 0.1))
-    assert len(monitor.history) < 2 * 100
-    assert monitor.history_dropped > 0
-    # newest entries survive, slicing access patterns still work
-    assert monitor.history[-1][1].received_at == 999
-    assert [i for i, _ in monitor.history[-3:]] == [0, 0, 0]
-
-
-def test_history_limit_from_config_knob():
-    scheme = StubScheme()
-    scheme.sim.cfg.monitor.history_limit = 7
-    monitor = FrontendMonitor(scheme)
-    assert monitor.history_limit == 7
-    with pytest.raises(ValueError):
-        FrontendMonitor(StubScheme(), history_limit=-1)
-
-
 def test_million_polls_bounded_memory_and_accurate_digests():
     """The acceptance bar: >= 1e6 polls, O(capacity) retention, <= 1 %
     quantile error against the exact percentiles of the full stream."""
     capacity = 512
-    monitor = make_monitor(history_limit=1000)
+    monitor = make_monitor()
     pipe = TelemetryPipeline(capacity=capacity, metrics=("cpu_util",),
                              rules=[]).attach(monitor)
     n = 1_000_000
@@ -96,8 +73,7 @@ def test_million_polls_bounded_memory_and_accurate_digests():
         info.cpu_util = float(values[t])
         monitor._record(0, info)
 
-    # History and every retention tier stay within their bounds.
-    assert len(monitor.history) < 2 * 1000
+    # Every retention tier stays within its bound.
     ring = pipe.store.ring("b0.cpu_util")
     assert len(ring.raw) <= capacity
     assert len(ring.mid) <= capacity

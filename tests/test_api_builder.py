@@ -164,6 +164,17 @@ def test_with_federation_accepts_every_federation_field():
     assert not cfg.federation.enabled
 
 
+def test_federation_leaves_run_the_builder_scheme():
+    """``scheme()`` is the one place that chooses the leaf scheme."""
+    app = (ClusterBuilder(SimConfig(num_backends=4))
+           .scheme("socket-sync").with_federation().build())
+    assert {leaf.scheme.name for leaf in app.federation.leaves} == {"socket-sync"}
+    with pytest.raises(TypeError) as err:
+        ClusterBuilder(SimConfig(num_backends=4)).with_federation(scheme="socket-sync")
+    assert "unknown keyword 'scheme'" in str(err.value)
+    assert "(valid keywords: digest_compression, enabled, " in str(err.value)
+
+
 def test_constructor_backed_methods_take_constructor_keywords():
     """Each accepts its constructor's keywords minus what build() wires;
     ``enabled`` is not one of them (calling the method switches on)."""

@@ -9,6 +9,8 @@ from repro.workloads.rubis import RubisWorkload
 def run_once(seed):
     cfg = SimConfig(num_backends=2, master_seed=seed)
     app = ClusterBuilder(cfg).scheme("socket-sync", interval=ms(50)).build()
+    lats = []
+    app.scheme.observers.append(lambda r: lats.append(r.latency))
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))
@@ -19,7 +21,7 @@ def run_once(seed):
         stats.max_response(),
         tuple(sorted(stats.per_backend_counts().items())),
         app.sim.env.processed_events,
-        tuple(r.latency for r in app.scheme.records[:50]),
+        tuple(lats[:50]),
     )
 
 

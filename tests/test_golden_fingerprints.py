@@ -37,7 +37,10 @@ had copies in ``SimConfig``: an elastic scaler with every knob off its
 default, with heartbeat failover and a renamed OpenMetrics surface
 (hashed exposition); the scaler with default knobs; a trace replay with
 default knobs and with every knob set; and a three-level federation
-chained onto a default config.
+chained onto a default config. Its exposition hash was re-taken once,
+when the ``monitor_history_dropped`` family went with the front-end
+history it counted: the two expositions differ by exactly that
+family's HELP, TYPE and sample lines.
 
 The overhauled core must reproduce every value bit-for-bit. If a test
 here fails, the change under review broke same-seed reproducibility —
@@ -77,6 +80,8 @@ from repro.workloads.synth import synthesize_flash_crowd
 def fp_rubis(scheme, seed=1234):
     cfg = SimConfig(num_backends=2, master_seed=seed)
     app = ClusterBuilder(cfg).scheme(scheme, interval=ms(50)).build()
+    lats = []
+    app.scheme.observers.append(lambda r: lats.append(r.latency))
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))
@@ -84,7 +89,7 @@ def fp_rubis(scheme, seed=1234):
     return (s.count(), repr(s.mean_response()), s.max_response(),
             tuple(sorted(s.per_backend_counts().items())),
             app.sim.env.processed_events,
-            tuple(r.latency for r in app.scheme.records[:50]))
+            tuple(lats[:50]))
 
 
 def fp_openloop(seed=77):
@@ -148,6 +153,8 @@ def fp_federation_3level(seed=13):
 
 def fp_builder(app):
     """Closed-loop RUBiS for 1 s on a built cluster."""
+    lats = []
+    app.scheme.observers.append(lambda r: lats.append(r.latency))
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(1))
@@ -155,7 +162,7 @@ def fp_builder(app):
     return (s.count(), repr(s.mean_response()), s.max_response(),
             tuple(sorted(s.per_backend_counts().items())),
             app.sim.env.processed_events,
-            tuple(r.latency for r in app.scheme.records[:50]))
+            tuple(lats[:50]))
 
 
 def build_minimal():
@@ -199,11 +206,13 @@ def fp_scaler(**knobs):
            .with_elastic_scaler(**knobs)
            .workload("rubis", num_clients=16, think_time=ms(5))
            .build())
+    published = []
+    app.scaler.observers.append(published.append)
     app.run(seconds(1))
+    evals = [e for e in published if e["kind"] == "eval"]
     events = tuple((e.time, e.direction, e.backend, repr(e.mean_load),
                     e.active_after) for e in app.scaler.events)
-    return (_stats_fp(app), events, len(app.scaler.samples),
-            app.scaler.samples[-1][2])
+    return (_stats_fp(app), events, len(evals), evals[-1]["active"])
 
 
 def fp_scaler_obs():
@@ -219,13 +228,16 @@ def fp_scaler_obs():
            .observability(namespace="acme", quantiles=(0.5, 0.9))
            .workload("rubis", num_clients=32, think_time=ms(2))
            .build())
+    published = []
+    app.scaler.observers.append(published.append)
     app.run(seconds(1))
+    evals = [e for e in published if e["kind"] == "eval"]
     events = tuple((e.time, e.direction, e.backend, repr(e.mean_load),
                     e.active_after) for e in app.scaler.events)
     exposition = app.obs.exposition().encode()
     return (_stats_fp(app), events,
-            tuple((t, active) for t, _, active in app.scaler.samples[:8]),
-            len(app.scaler.samples), app.heartbeat.probes,
+            tuple((e["t"], e["active"]) for e in evals[:8]),
+            len(evals), app.heartbeat.probes,
             hashlib.sha256(exposition).hexdigest())
 
 
@@ -403,7 +415,7 @@ GOLDEN_BUILDER_FULL_STACK = (439, '8318072.845102506', 320123159, ((0, 221), (1,
 
 GOLDEN_BUILDER_FEDERATED = (749, '2549712.4606141523', 22358960, ((0, 89), (1, 89), (2, 86), (3, 86), (4, 96), (5, 110), (6, 98), (7, 95)), 31986, ())
 
-GOLDEN_PLANE_KNOBS = (('scaler+heartbeat+obs', ((2421, '9632734.645187939', 103085076, ((0, 832), (1, 825), (2, 764)), 84025), ((39003700, 'up', 2, '0.6572928716741793', 3),), ((13003700, 2), (26003700, 2), (39003700, 2), (52003700, 3), (65003700, 3), (78003700, 3), (91003700, 3), (104003700, 3)), 76, 80, 'a61b82fbe30c068059c4793a350c2486204e3a4c864a252c13c9009aa48a43fc')), ('scaler-defaults', ((1233, '3583755.6350364964', 39569767, ((0, 510), (1, 557), (2, 127), (3, 39)), 44557), ((150000000, 'down', 3, '0.26960478774468166', 3), (300000000, 'down', 2, '0.2243117525901255', 2)), 20, 2)), ('replay-defaults', ((307, '45804135.17915309', 139643134, ((0, 140), (1, 167)), 15429), 307, 307)), ('replay-knobs', ((456, '11080647.368421054', 66427150, ((0, 216), (1, 240)), 19884), 456, 456)), ('federation-3level', ((487, '2522507.8110882957', 15618874, ((0, 30), (1, 33), (2, 25), (3, 30), (4, 27), (5, 23), (6, 37), (7, 28), (8, 32), (9, 34), (10, 34), (11, 25), (12, 29), (13, 32), (14, 39), (15, 29)), 87711), 6, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (12, 13), (14, 15)), 292)))
+GOLDEN_PLANE_KNOBS = (('scaler+heartbeat+obs', ((2421, '9632734.645187939', 103085076, ((0, 832), (1, 825), (2, 764)), 84025), ((39003700, 'up', 2, '0.6572928716741793', 3),), ((13003700, 2), (26003700, 2), (39003700, 2), (52003700, 3), (65003700, 3), (78003700, 3), (91003700, 3), (104003700, 3)), 76, 80, '4eda75bbc7f011916b25bf410f371fb97240a513dee198789bca98efdd473a7e')), ('scaler-defaults', ((1233, '3583755.6350364964', 39569767, ((0, 510), (1, 557), (2, 127), (3, 39)), 44557), ((150000000, 'down', 3, '0.26960478774468166', 3), (300000000, 'down', 2, '0.2243117525901255', 2)), 20, 2)), ('replay-defaults', ((307, '45804135.17915309', 139643134, ((0, 140), (1, 167)), 15429), 307, 307)), ('replay-knobs', ((456, '11080647.368421054', 66427150, ((0, 216), (1, 240)), 19884), 456, 456)), ('federation-3level', ((487, '2522507.8110882957', 15618874, ((0, 30), (1, 33), (2, 25), (3, 30), (4, 27), (5, 23), (6, 37), (7, 28), (8, 32), (9, 34), (10, 34), (11, 25), (12, 29), (13, 32), (14, 39), (15, 29)), 87711), 6, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (12, 13), (14, 15)), 292)))
 
 
 def _check(name, value, regen):

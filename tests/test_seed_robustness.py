@@ -25,6 +25,8 @@ def test_rdma_latency_flat_under_any_seed(seed):
     sim = build_cluster(cfg)
     create_workload("background", sim, node=sim.backends[0], threads=32)
     scheme = create_scheme("rdma-sync", sim, interval=ms(10))
+    lats = []
+    scheme.observers.append(lambda r: lats.append(r.latency))
 
     def poller(k):
         while True:
@@ -33,7 +35,6 @@ def test_rdma_latency_flat_under_any_seed(seed):
 
     sim.frontend.spawn("p", poller)
     sim.run(seconds(2))
-    lats = scheme.latencies()
     assert max(lats) - min(lats) < us(15), (min(lats), max(lats))
 
 
@@ -42,6 +43,8 @@ def test_socket_latency_load_dependent_under_any_seed(seed):
     cfg = SimConfig(num_backends=1, master_seed=seed)
     sim = build_cluster(cfg)
     scheme = create_scheme("socket-sync", sim, interval=ms(10))
+    lats = []
+    scheme.observers.append(lambda r: lats.append(r.latency))
 
     def poller(k):
         while True:
@@ -50,11 +53,11 @@ def test_socket_latency_load_dependent_under_any_seed(seed):
 
     sim.frontend.spawn("p", poller)
     sim.run(seconds(1))
-    idle = sum(scheme.latencies()) / len(scheme.latencies())
-    n = len(scheme.records)
+    idle = sum(lats) / len(lats)
+    n = len(lats)
     create_workload("background", sim, node=sim.backends[0], threads=32)
     sim.run(seconds(3))
-    loaded = [r.latency for r in scheme.records[n:]]
+    loaded = lats[n:]
     assert sum(loaded) / len(loaded) > 2 * idle
 
 

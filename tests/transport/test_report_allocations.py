@@ -10,6 +10,8 @@ path's footprint: both records are flat tuples of atoms that the first
 young collection untracks, the ``LoadInfo`` is the only tracked object
 a report leaves behind, federation packing passes its irq tuples
 through, and a pending interrupt holds nothing tracked but its action.
+Across a run, the monitors keep only their latest view, so the reports
+alive stay bounded by the cluster size, however long the run.
 """
 
 import functools
@@ -18,11 +20,13 @@ from dataclasses import fields
 
 import pytest
 
+from repro.api import ClusterBuilder
 from repro.config import SimConfig
 from repro.federation import pack_info, unpack_info
 from repro.hw.cluster import build_cluster
 from repro.kernel.interrupts import IrqVector
-from repro.monitoring import create_scheme
+from repro.monitoring import QueryRecord, create_scheme
+from repro.monitoring.loadinfo import LoadInfo
 from repro.sim.units import ms, us
 
 ATOMS = (int, float, str)
@@ -120,3 +124,27 @@ def test_pending_interrupts_hold_only_their_actions(warm):
     assert _tracked() == before
     warm.run(warm.env.now + ms(1))
     assert fired == [1, 1, 1, 1]
+
+
+def _live_reports():
+    gc.collect()
+    objs = gc.get_objects()
+    return (sum(1 for o in objs if type(o) is QueryRecord),
+            sum(1 for o in objs if type(o) is LoadInfo))
+
+
+@pytest.mark.parametrize("federated", [False, True], ids=["flat", "federated"])
+def test_live_reports_do_not_grow_with_run_length(federated):
+    n = 16
+    records_before, infos_before = _live_reports()
+    builder = (ClusterBuilder(SimConfig(num_backends=n))
+               .scheme("e-rdma-sync", interval=ms(1))
+               .workload("rubis", num_clients=16))
+    if federated:
+        builder.with_federation(leaf_interval=ms(1), root_interval=ms(1))
+    app = builder.build()
+    for until in (ms(20), ms(60)):
+        app.run(until)
+        records, infos = _live_reports()
+        assert records - records_before == 0, until
+        assert infos - infos_before <= 3 * n, until
