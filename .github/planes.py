@@ -101,7 +101,8 @@ PLANES = {
         ("Federation + property tests",
          pytest("-q", "tests/federation",
                 "tests/properties/test_federation_properties.py",
-                "tests/experiments/test_federation_scale.py")),
+                "tests/experiments/test_federation_scale.py",
+                "tests/test_api_builder.py")),
         ("Small-N federated sweep smoke", run_all("federation")),
         ("Flat-vs-federated benchmark (N up to 512)",
          bench("benchmarks/test_federation.py")),

@@ -5,8 +5,8 @@ stack — booted cluster, back-end web servers, a monitoring scheme with
 its front-end poller, the load balancer (extended scoring iff the
 scheme is e-RDMA-Sync), and the dispatcher — plus any of the optional
 planes (admission control, telemetry, alert shedding, span tracing,
-fault injection, heartbeat failover, hierarchical federation,
-congestion-realistic fabric)::
+fault injection, heartbeat failover, hierarchical federation in place
+of the poller, congestion-realistic fabric)::
 
     from repro.api import ClusterBuilder
 
@@ -45,14 +45,15 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, fields, replace
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.config import SimConfig, audit_keywords
 from repro.faults import FaultPlane, FaultSchedule, parse_schedule
-from repro.federation import Federation, deploy_federation
+from repro.federation import FederatedMonitor, Federation, deploy_federation
 from repro.hw.cluster import ClusterSim, build_cluster
 from repro.monitoring import FrontendMonitor, MonitoringScheme, create_scheme
 from repro.monitoring.heartbeat import HeartbeatMonitor
+from repro.monitoring.registry import scheme_options
 from repro.server.admission import AdmissionController
 from repro.server.dispatcher import Dispatcher
 from repro.server.loadbalancer import LeastLoadedBalancer, TwoLevelBalancer
@@ -68,8 +69,10 @@ class RubisCluster:
 
     sim: ClusterSim
     servers: List[BackendServer]
-    scheme: MonitoringScheme
-    monitor: FrontendMonitor
+    #: the flat scheme; None when federated (see ``federation.leaves``)
+    scheme: Optional[MonitoringScheme]
+    #: the routed view: the flat poller, or ``federation.root``
+    monitor: Union[FrontendMonitor, FederatedMonitor]
     balancer: LeastLoadedBalancer
     dispatcher: Dispatcher
     admission: Optional[AdmissionController] = None
@@ -146,10 +149,12 @@ class ClusterBuilder:
         """Choose the monitoring scheme (default ``rdma-sync``).
 
         ``interval`` overrides ``cfg.monitor.interval`` for the scheme's
-        probe loop; extra keywords are forwarded to the scheme
-        constructor via :func:`~repro.monitoring.registry.create_scheme`
-        (which rejects unknown ones by name).
+        probe loop; extra keywords are checked here and forwarded to the
+        scheme constructor. Federated leaves take neither (they poll at
+        ``cfg.federation.leaf_interval``).
         """
+        audit_keywords(f"ClusterBuilder.scheme({name!r})", kwargs,
+                       scheme_options(name))
         self._scheme_name = name
         self._interval = interval
         self._scheme_kwargs = kwargs
@@ -267,10 +272,9 @@ class ClusterBuilder:
         Keywords are those of :class:`~repro.server.reconfig.ElasticScaler`
         (``interval``, ``high_water``, ``low_water``, ``initial_active``,
         ``min_active``, ``max_active``, ``up_after``, ``down_after``,
-        ``cooldown``). The scaler is driven by whichever monitoring view
-        the dispatcher consults (the federated root when federation is
-        on, the flat front-end poller otherwise). The built cluster's
-        ``scaler`` handle carries the scale-event log and load samples.
+        ``cooldown``). The scaler reads the routed view, the built
+        cluster's ``monitor``. Its ``scaler`` handle keeps the
+        scale-event log and publishes each evaluation to ``observers``.
         """
         from repro.server.reconfig import ElasticScaler  # deferred: opt-in
 
@@ -302,8 +306,9 @@ class ClusterBuilder:
         Equivalent to setting ``cfg.federation.enabled`` (plus the given
         ``cfg.federation`` fields) before building: leaves poll their
         shard with the scheme chosen by :meth:`scheme`, the root merges
-        leaf snapshots, the dispatcher routes through the shard-then-node
-        balancer, and the flat front-end poller stays idle. ``levels=3``
+        leaf snapshots and is the built cluster's ``monitor`` (no flat
+        poller is deployed; ``scheme`` is ``None``), and the dispatcher
+        routes through the shard-then-node balancer. ``levels=3``
         inserts region aggregators between leaves and root (fan-outs
         near N^(1/3) — the large-N regime; see docs/FEDERATION.md).
         """
@@ -331,21 +336,20 @@ class ClusterBuilder:
         for server in servers:
             server.start()
 
+        # One fabric: this flat poller or, below, the federation.
         federated = cfg.federation.enabled
-        scheme = create_scheme(scheme_name, sim, interval=self._interval,
-                               **self._scheme_kwargs)
-        monitor = FrontendMonitor(scheme)
+        scheme = None
         if not federated:
-            # With federation on, the flat front-end poller stays idle
-            # (its O(N) fan-out is exactly what the two-level fabric
-            # replaces); the deployed scheme remains available for
-            # direct queries.
+            scheme = create_scheme(scheme_name, sim, interval=self._interval,
+                                   **self._scheme_kwargs)
+            monitor = FrontendMonitor(scheme)
             monitor.start()
 
         telemetry = None
         if self._telemetry or self._alert_shedding:
             telemetry = TelemetryPipeline(rules=self._telemetry_rules)
-            telemetry.attach(monitor)
+            if not federated:
+                telemetry.attach(monitor)
 
         if telemetry is not None and sim.congestion is not None:
             telemetry.attach_congestion(sim.congestion)
@@ -369,6 +373,7 @@ class ClusterBuilder:
         if federated:
             federation = deploy_federation(sim, scheme_name=scheme_name,
                                            heartbeat=heartbeat)
+            monitor = federation.root
             if telemetry is not None:
                 telemetry.attach_federation(federation)
             if sim.tenancy is not None:
@@ -382,7 +387,7 @@ class ClusterBuilder:
 
             scaler = ElasticScaler(
                 sim,
-                view=(federation.root if federation is not None else monitor),
+                view=monitor,
                 federation=federation,
                 health=heartbeat,
                 **self._scaler,
@@ -417,7 +422,7 @@ class ClusterBuilder:
             admission.trace_node = sim.frontend.name
         dispatcher = Dispatcher(
             sim.frontend, servers, balancer,
-            monitor=(federation.root if federation is not None else monitor),
+            monitor=monitor,
             admission=admission,
             health=(scaler if scaler is not None else heartbeat),
             telemetry=(telemetry if self._alert_shedding else None),

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.federation.snapshot import SNAPSHOT_METRICS, ShardSnapshot
 from repro.federation.topology import ShardTopology
 from repro.monitoring.loadinfo import LoadInfo
-from repro.monitoring.registry import create_scheme, scheme_class
+from repro.monitoring.registry import create_scheme
 from repro.telemetry.digest import StreamingDigest
 from repro.transport.verbs import AccessFlags, ProtectionDomain
 
@@ -72,19 +72,12 @@ class LeafMonitor:
         self.node = node
         self.scheme_name = scheme_name
         self.interval = fed.leaf_interval or sim.cfg.monitor.interval
-        # One-sided schemes with no back-end agent can safely be
-        # deployed over the whole cluster (a registration + QP per
-        # member costs the members nothing), which lets quarantine
-        # rebalancing migrate members between shards. Schemes that run
-        # per-member threads or buffers stay scoped to the static shard
-        # so deploying a leaf never perturbs back-ends outside it.
-        cls = scheme_class(self.scheme_name)
-        self._full_universe = (
-            topology.rebalance_on_quarantine
-            and cls.one_sided
-            and cls.backend_threads == 0
-        )
-        if self._full_universe:
+        # Members migrate between shards only on a rebalancing topology
+        # (which deploy_federation builds only for schemes that can
+        # follow), so only there does the scheme cover the whole
+        # cluster; otherwise a leaf never touches back-ends outside its
+        # static shard.
+        if topology.rebalance_on_quarantine:
             universe = list(range(topology.num_backends))
         else:
             universe = list(topology.static_assignment[shard])

@@ -205,7 +205,7 @@ def build_job_report(cluster, job: str = "rubis",
         "classes": classes,
         "backends": backends,
         "monitoring": {
-            "polls": cluster.dispatcher.monitor.polls,
+            "polls": cluster.monitor.polls,
             "observations": telemetry.observations if telemetry else 0,
             "alerts_raised": (sum(telemetry.engine.counts_by_rule().values())
                               if telemetry else 0),

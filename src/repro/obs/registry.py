@@ -199,14 +199,11 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # collectors — one per plane, each a pure read of live state
 # ----------------------------------------------------------------------
-def _scheme_name(scheme) -> str:
-    """Reverse-map a scheme instance to its registered paper name."""
-    from repro.monitoring.registry import _SCHEMES
-
-    for name, klass in _SCHEMES.items():
-        if type(scheme) is klass:
-            return name
-    return type(scheme).__name__
+def _probing_schemes(cluster) -> list:
+    """The schemes that probe: the flat cluster's, or every leaf's."""
+    if cluster.federation is None:
+        return [cluster.scheme]
+    return [leaf.scheme for leaf in cluster.federation.leaves]
 
 
 def collect_sim(reg: MetricsRegistry, cluster) -> List[MetricFamily]:
@@ -215,7 +212,7 @@ def collect_sim(reg: MetricsRegistry, cluster) -> List[MetricFamily]:
 
     env = cluster.sim.env
     info = reg.family("build", "info", "Deployment identity of this exposition.")
-    info.add(1, version=__version__, scheme=_scheme_name(cluster.scheme),
+    info.add(1, version=__version__, scheme=_probing_schemes(cluster)[0].name,
              backends=len(cluster.sim.backends))
     clock = reg.family("sim_time_ns", "gauge",
                        "Simulated clock at scrape time, nanoseconds.")
@@ -230,20 +227,23 @@ def collect_sim(reg: MetricsRegistry, cluster) -> List[MetricFamily]:
 
 
 def collect_monitor(reg: MetricsRegistry, cluster) -> List[MetricFamily]:
-    """Front-end poller rounds plus the scheme's probe/retry counters."""
+    """Rounds of the routed view plus the probing schemes' retry counters."""
     monitor = cluster.monitor
+    view = ("flat front-end poller" if cluster.federation is None
+            else "federated root")
     polls = reg.family("monitor_polls", "counter",
                        "Completed front-end monitoring rounds.")
     polls.add(monitor.polls)
     epoch = reg.family("monitor_epoch", "gauge",
-                       "Current monitoring epoch of the flat front-end poller.")
+                       f"Current monitoring epoch of the {view}.")
     epoch.add(monitor.epoch)
     probes = reg.family(
         "probe_events", "counter",
         "Probe fault-recovery outcomes by kind (timeouts, retries, naks, "
         "failures, stale replies dropped).")
-    for kind, count in sorted(cluster.scheme.fault_stats().items()):
-        probes.add(count, kind=kind)
+    stats = [scheme.fault_stats() for scheme in _probing_schemes(cluster)]
+    for kind in sorted(stats[0]):
+        probes.add(sum(s[kind] for s in stats), kind=kind)
     return [polls, epoch, probes]
 
 

@@ -47,9 +47,7 @@ class Observability:
         if snapshot_dir:
             obs.writer = SnapshotWriter(registry, snapshot_dir,
                                         every=snapshot_every)
-            view = (cluster.federation.root
-                    if cluster.federation is not None else cluster.monitor)
-            obs.writer.attach(view)
+            obs.writer.attach(cluster.monitor)
         if http:
             obs.server = MetricsServer(
                 registry, host=http_host, port=http_port,

@@ -11,7 +11,7 @@ deliberately under-loaded, as in the paper.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.server.request import Request, RequestStats
 from repro.server.webserver import BackendServer
@@ -19,6 +19,7 @@ from repro.sim.resources import Store
 from repro.tracing.span import STATUS_ERROR, STATUS_OK, tracer_for
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.federation.aggregator import FederatedMonitor
     from repro.hw.node import Node
     from repro.kernel.task import Task
     from repro.monitoring.frontend import FrontendMonitor
@@ -35,7 +36,7 @@ class Dispatcher:
         frontend: "Node",
         servers: List[BackendServer],
         balancer,
-        monitor: Optional["FrontendMonitor"] = None,
+        monitor: Union["FrontendMonitor", "FederatedMonitor"],
         admission=None,
         health=None,
         telemetry=None,
@@ -70,7 +71,7 @@ class Dispatcher:
         self.stats = RequestStats()
         self.forwarded = 0
         #: monitoring-view epoch the latest routing decision consulted
-        #: (None until a federated / epoch-stamped monitor reports)
+        #: (None until the first routing decision)
         self.last_view_epoch: Optional[int] = None
         self._tasks: List["Task"] = []
         self._stopped = False
@@ -96,11 +97,7 @@ class Dispatcher:
         expose ``latest`` (global back-end index → LoadInfo) and an
         ``epoch`` stamp, which is recorded for view-age diagnostics.
         """
-        if self.monitor is None:
-            return {}
-        epoch = getattr(self.monitor, "epoch", None)
-        if epoch is not None:
-            self.last_view_epoch = epoch
+        self.last_view_epoch = self.monitor.epoch
         return self.monitor.latest
 
     def _body(self, k):

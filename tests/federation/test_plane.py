@@ -87,8 +87,9 @@ def test_rebalance_disabled_for_schemes_with_backend_agents():
     fed = deploy_federation(sim, scheme_name="socket-sync")
     assert fed.topology.rebalance_on_quarantine is False
     for leaf in fed.leaves:
-        assert leaf._full_universe is False
-        assert leaf.members() == fed.topology.static_assignment[leaf.shard]
+        shard = fed.topology.static_assignment[leaf.shard]
+        assert leaf.scheme.backends == [sim.backends[g] for g in shard]
+        assert leaf.members() == shard
     sim.run(ms(30))
     assert sorted(fed.root.latest) == list(range(8))
 

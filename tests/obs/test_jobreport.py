@@ -122,7 +122,7 @@ def test_untraced_cluster_reports_zero_traces():
 
 def test_federated_cluster_reports_the_routed_view_polls():
     """The polls count is the view the dispatcher routes on: the
-    federated root, not the idle flat poller."""
+    federated root."""
     from repro.api import ClusterBuilder
 
     cluster = (ClusterBuilder(SimConfig(num_backends=8, master_seed=19))
@@ -130,5 +130,5 @@ def test_federated_cluster_reports_the_routed_view_polls():
                .build())
     cluster.run(200 * MILLISECOND)
     polls = build_job_report(cluster).payload["monitoring"]["polls"]
-    assert cluster.monitor.polls == 0
+    assert cluster.monitor is cluster.federation.root
     assert polls == cluster.federation.root.polls == 40

@@ -138,6 +138,29 @@ def test_federated_cluster_exposes_shard_families():
     assert 'repro_federation_shard_members{shard="0"}' in text
     assert 'repro_federation_shard_members{shard="1"}' in text
     assert "repro_shard_cpu_util" in text
+    polls = cluster.federation.root.polls
+    assert polls > 0
+    assert f"repro_monitor_polls_total {polls}\n" in text
+
+
+def test_federated_probe_events_sum_the_leaf_schemes():
+    from repro.api import ClusterBuilder
+
+    cfg = SimConfig(num_backends=8, master_seed=3)
+    cfg.monitor.probe_timeout = 2 * MILLISECOND
+    cfg.monitor.probe_retries = 2
+    cluster = (ClusterBuilder(cfg).scheme("rdma-sync")
+               .with_federation(num_shards=2, leaf_interval=5 * MILLISECOND)
+               .with_faults("from 20ms to 150ms verb-nak backend1 p=0.5\n"
+                            "from 20ms to 150ms verb-nak backend6 p=0.5")
+               .observability().build())
+    cluster.run(200 * MILLISECOND)
+    text = cluster.obs.exposition()
+    leaves = [leaf.scheme.fault_stats() for leaf in cluster.federation.leaves]
+    assert all(stats["naks"] > 0 for stats in leaves)  # both shards probed
+    for kind in ("naks", "retries", "failures"):
+        total = sum(stats[kind] for stats in leaves)
+        assert f'repro_probe_events_total{{kind="{kind}"}} {total}\n' in text
 
 
 def test_custom_namespace_and_quantiles():

@@ -47,7 +47,8 @@ def _run_app(seed, *, touch_knobs=False, enabled=False):
     cfg.federation.enabled = enabled
     app = ClusterBuilder(cfg).scheme("rdma-sync", interval=ms(50)).build()
     probes = []
-    app.scheme.observers.append(probes.append)
+    if app.scheme is not None:  # a federated cluster has no flat scheme
+        app.scheme.observers.append(probes.append)
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(2))

@@ -98,7 +98,7 @@ def test_shedding_repick_follows_clean_headroom():
                     gauges={"connections": 32})
     loads = {i: LoadInfo(backend=f"b{i}", collected_at=0) for i in (0, 1, 3)}
     loads[2] = busy
-    app.dispatcher.monitor = SimpleNamespace(latest=loads)
+    app.dispatcher.monitor = SimpleNamespace(latest=loads, epoch=0)
     for backend in (0, 1):
         app.telemetry.engine.observe(backend, 0, {"synthetic": 2.0})
     workload = RubisWorkload(app.sim, app.dispatcher, num_clients=16,

@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import ClusterBuilder
 from repro.config import SimConfig
+from repro.monitoring.registry import ALL_SCHEME_NAMES, scheme_class
 from repro.sim.units import ms
 
 
@@ -164,11 +165,25 @@ def test_with_federation_accepts_every_federation_field():
     assert not cfg.federation.enabled
 
 
-def test_federation_leaves_run_the_builder_scheme():
+@pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
+def test_federation_leaves_run_the_builder_scheme(name):
+    """``scheme()`` chooses the leaf scheme, and a federated build runs
+    one monitoring fabric: the leaves' threads, no flat poller."""
+    app = (ClusterBuilder(SimConfig(num_backends=8))
+           .scheme(name).with_federation(num_shards=2).build())
+    app.run(ms(20))
+    assert {leaf.scheme.name for leaf in app.federation.leaves} == {name}
+    for backend in app.sim.backends:
+        mon = [t for t in backend.sched.tasks if t.name.startswith("mon-")]
+        assert len(mon) == scheme_class(name).backend_threads
+    assert not [t for t in app.sim.frontend.sched.tasks
+                if t.name == "frontend-monitor"]
+    assert app.scheme is None
+    assert app.monitor is app.dispatcher.monitor is app.federation.root
+
+
+def test_with_federation_takes_no_scheme_keyword():
     """``scheme()`` is the one place that chooses the leaf scheme."""
-    app = (ClusterBuilder(SimConfig(num_backends=4))
-           .scheme("socket-sync").with_federation().build())
-    assert {leaf.scheme.name for leaf in app.federation.leaves} == {"socket-sync"}
     with pytest.raises(TypeError) as err:
         ClusterBuilder(SimConfig(num_backends=4)).with_federation(scheme="socket-sync")
     assert "unknown keyword 'scheme'" in str(err.value)

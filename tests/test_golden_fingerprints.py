@@ -152,9 +152,11 @@ def fp_federation_3level(seed=13):
 
 
 def fp_builder(app):
-    """Closed-loop RUBiS for 1 s on a built cluster."""
+    """Closed-loop RUBiS for 1 s on a built cluster; a federated one
+    has no flat scheme, so its probe tuple is empty."""
     lats = []
-    app.scheme.observers.append(lambda r: lats.append(r.latency))
+    if app.scheme is not None:
+        app.scheme.observers.append(lambda r: lats.append(r.latency))
     wl = RubisWorkload(app.sim, app.dispatcher, num_clients=8, think_time=ms(5))
     wl.start()
     app.run(seconds(1))
