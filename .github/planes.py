@@ -136,12 +136,13 @@ PLANES = {
          bench("benchmarks/test_replay.py")),
     ],
     "perf": [
-        ("Determinism gate (golden fingerprints + engine ordering + verb and "
-         "report allocations)",
+        ("Determinism gate (golden fingerprints + engine ordering + verb, "
+         "report and build allocations)",
          pytest("-q", "tests/test_golden_fingerprints.py", "tests/sim/test_pqueue.py",
                 "tests/sim/test_engine_ordering.py",
                 "tests/transport/test_verb_allocations.py",
-                "tests/transport/test_report_allocations.py")),
+                "tests/transport/test_report_allocations.py",
+                "tests/transport/test_build_allocations.py")),
         ("Repo benchmark smoke, flat poller (its result checks must pass)",
          partial(perfbench_smoke, "n8_planes")),
         ("Repo benchmark smoke, federated report path (its result checks must pass)",

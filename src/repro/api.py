@@ -150,8 +150,9 @@ class ClusterBuilder:
 
         ``interval`` overrides ``cfg.monitor.interval`` for the scheme's
         probe loop; extra keywords are checked here and forwarded to the
-        scheme constructor. Federated leaves take neither (they poll at
-        ``cfg.federation.leaf_interval``).
+        scheme constructor. Federated, both go to every leaf's scheme,
+        and ``cfg.federation.leaf_interval``, when set, wins over
+        ``interval``.
         """
         audit_keywords(f"ClusterBuilder.scheme({name!r})", kwargs,
                        scheme_options(name))
@@ -328,11 +329,8 @@ class ClusterBuilder:
         scheme_name = self._scheme_name
         sim = build_cluster(cfg)
 
-        servers = [
-            BackendServer(be, sim.rng.stream(f"db:{be.name}"),
-                          workers=self._workers)
-            for be in sim.backends
-        ]
+        servers = [BackendServer(be, sim.rng, workers=self._workers)
+                   for be in sim.backends]
         for server in servers:
             server.start()
 
@@ -372,7 +370,9 @@ class ClusterBuilder:
         federation = None
         if federated:
             federation = deploy_federation(sim, scheme_name=scheme_name,
-                                           heartbeat=heartbeat)
+                                           heartbeat=heartbeat,
+                                           interval=self._interval,
+                                           **self._scheme_kwargs)
             monitor = federation.root
             if telemetry is not None:
                 telemetry.attach_federation(federation)

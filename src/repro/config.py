@@ -255,7 +255,8 @@ class FederationConfig:
     #: number of region aggregators (3-level only); 0 = auto,
     #: ceil(sqrt(num_shards))
     num_regions: int = 0
-    #: leaf poll period over shard members; 0 = cfg.monitor.interval
+    #: leaf poll period over shard members; 0 = the scheme's interval
+    #: (``ClusterBuilder.scheme(interval=...)``), else cfg.monitor.interval
     leaf_interval: int = 0
     #: root aggregation period (RDMA-reads every leaf snapshot MR);
     #: 0 = the leaf interval

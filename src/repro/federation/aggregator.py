@@ -58,8 +58,7 @@ class FederatedMonitor:
         self.leaves = leaves
         self.regions = regions
         self.frontend = sim.frontend
-        interval = (fed.root_interval or fed.leaf_interval
-                    or sim.cfg.monitor.interval)
+        interval = fed.root_interval or leaves[0].interval
         if interval <= 0:
             raise ValueError("root interval must be positive")
         self.interval = interval
@@ -247,6 +246,9 @@ def deploy_federation(
     sim: "ClusterSim",
     scheme_name: str = "rdma-sync",
     heartbeat=None,
+    *,
+    interval: Optional[int] = None,
+    **scheme_kwargs,
 ) -> Federation:
     """Build the two-level monitoring fabric on a built cluster.
 
@@ -257,6 +259,10 @@ def deploy_federation(
     plane is already installed or a heartbeat monitor is passed — wires
     quarantine-driven rebalancing. Install the fault plane
     *before* calling this (or use :meth:`Federation.attach_faults`).
+
+    ``interval`` and ``scheme_kwargs`` go to every leaf's scheme, as
+    :meth:`repro.api.ClusterBuilder.scheme` gives them; a set
+    ``cfg.federation.leaf_interval`` wins over ``interval``.
     """
     fed = sim.cfg.federation
     if fed.levels not in (2, 3):
@@ -285,7 +291,8 @@ def deploy_federation(
         node.boot()
         leaf_nodes.append(node)
     leaves = [
-        LeafMonitor(sim, topology, j, leaf_nodes[j], scheme_name)
+        LeafMonitor(sim, topology, j, leaf_nodes[j], scheme_name,
+                    interval=interval, **scheme_kwargs)
         for j in range(topology.num_shards)
     ]
     regions: List = []

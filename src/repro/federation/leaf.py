@@ -5,8 +5,9 @@ A :class:`LeafMonitor` is the shard-scale analogue of the
 registered monitoring schemes, restricted to its shard, on its own leaf
 node. The scheme is built against a :class:`ShardView` — a
 ``ClusterSim``-shaped facade whose ``frontend`` is the leaf node and
-whose ``backends`` are the shard's members — so every scheme works
-unmodified. RDMA schemes additionally get the batched fan-out
+whose ``backends`` are the back-ends the leaf may poll: its static
+shard, or, on a rebalancing topology, the cluster's own list — so every
+scheme works unmodified. RDMA schemes additionally get the batched fan-out
 (`query_many`): the whole shard round is posted first and the doorbell
 rings once.
 
@@ -51,7 +52,8 @@ class ShardView:
         self.spans = sim.spans
         self.faults = getattr(sim, "faults", None)
         self.frontend = leaf_node
-        self.backends = list(backends)
+        #: shared, not copied (it may be the cluster's own list)
+        self.backends = backends
 
 
 class LeafMonitor:
@@ -64,6 +66,9 @@ class LeafMonitor:
         shard: int,
         node: "Node",
         scheme_name: str,
+        *,
+        interval: Optional[int] = None,
+        **scheme_kwargs,
     ) -> None:
         fed = sim.cfg.federation
         self.sim = sim
@@ -71,20 +76,24 @@ class LeafMonitor:
         self.shard = shard
         self.node = node
         self.scheme_name = scheme_name
-        self.interval = fed.leaf_interval or sim.cfg.monitor.interval
         # Members migrate between shards only on a rebalancing topology
         # (which deploy_federation builds only for schemes that can
         # follow), so only there does the scheme cover the whole
-        # cluster; otherwise a leaf never touches back-ends outside its
-        # static shard.
+        # cluster, and a local index is the global one. Otherwise a
+        # leaf never touches back-ends outside its static shard, and
+        # its scheme indexes that shard.
         if topology.rebalance_on_quarantine:
-            universe = list(range(topology.num_backends))
+            self._static: Optional[List[int]] = None
+            self._local_of: Optional[Dict[int, int]] = None
+            backends = sim.backends
         else:
-            universe = list(topology.static_assignment[shard])
-        self._universe = universe
-        self._local_of = {g: li for li, g in enumerate(universe)}
-        view = ShardView(sim, node, [sim.backends[g] for g in universe])
-        self.scheme = create_scheme(self.scheme_name, view, interval=self.interval)
+            self._static = topology.static_assignment[shard]
+            self._local_of = {g: li for li, g in enumerate(self._static)}
+            backends = [sim.backends[g] for g in self._static]
+        self.scheme = create_scheme(self.scheme_name, ShardView(sim, node, backends),
+                                    interval=fed.leaf_interval or interval,
+                                    **scheme_kwargs)
+        self.interval = self.scheme.interval
         #: freshest report per member, keyed by *global* back-end index
         self.latest: Dict[int, LoadInfo] = {}
         #: cumulative per-metric merge digests over the shard's stream
@@ -121,8 +130,10 @@ class LeafMonitor:
 
     def members(self) -> List[int]:
         """Global indices this leaf polls right now."""
-        return [g for g in self.topology.members(self.shard)
-                if g in self._local_of]
+        members = self.topology.members(self.shard)
+        if self._local_of is None:
+            return members
+        return [g for g in members if g in self._local_of]
 
     # ------------------------------------------------------------------
     def _body(self, k):
@@ -139,10 +150,12 @@ class LeafMonitor:
                     attrs={"shard": self.shard, "members": len(members)})
             infos: Dict[int, LoadInfo] = {}
             if members:
-                locals_ = [self._local_of[g] for g in members]
-                infos = yield from self.scheme.query_many(k, locals_)
+                local_of = self._local_of
+                infos = yield from self.scheme.query_many(
+                    k, members if local_of is None else [local_of[g] for g in members])
+            static = self._static
             for li, info in infos.items():
-                g = self._universe[li]
+                g = li if static is None else static[li]
                 self.latest[g] = info
                 for m, digest in self.digests.items():
                     digest.update(float(getattr(info, m)))

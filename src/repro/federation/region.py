@@ -97,8 +97,7 @@ class RegionAggregator:
         self.region = region
         self.leaves = leaves
         self.node = node
-        interval = (fed.region_interval or fed.leaf_interval
-                    or sim.cfg.monitor.interval)
+        interval = fed.region_interval or leaves[0].interval
         if interval <= 0:
             raise ValueError("region interval must be positive")
         self.interval = interval

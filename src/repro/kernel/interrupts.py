@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
 from repro.sim.events import EventPriority
@@ -290,24 +291,21 @@ class IrqController:
             kick = self.env.event(name=f"ksoftirqd-kick:{self.node.name}:{i}")
             state.ksoftirqd_kick = kick
             state.ksoftirqd = self.node.sched.spawn(
-                f"ksoftirqd/{i}", self._ksoftirqd_body(i), nice=19, kthread=True
+                f"ksoftirqd/{i}", partial(self._ksoftirqd_body, i),
+                nice=19, kthread=True,
             )
 
-    def _ksoftirqd_body(self, cpu_index: int):
+    def _ksoftirqd_body(self, cpu_index: int, k):
         state = self.percpu[cpu_index]
-
-        def body(k):
-            while True:
-                if not state.soft_costs:
-                    kick = self.env.event(name=f"ksoftirqd-kick:{self.node.name}:{cpu_index}")
-                    state.ksoftirqd_kick = kick
-                    yield k.wait(kick)
-                    continue
-                cost = state.soft_costs.popleft()
-                action = state.soft_actions.popleft()
-                yield k.compute(cost, mode="sys")
-                state.bh_executed += 1
-                if action is not None:
-                    action()
-
-        return body
+        while True:
+            if not state.soft_costs:
+                kick = self.env.event(name=f"ksoftirqd-kick:{self.node.name}:{cpu_index}")
+                state.ksoftirqd_kick = kick
+                yield k.wait(kick)
+                continue
+            cost = state.soft_costs.popleft()
+            action = state.soft_actions.popleft()
+            yield k.compute(cost, mode="sys")
+            state.bh_executed += 1
+            if action is not None:
+                action()

@@ -84,6 +84,34 @@ class CpuState:
         return f"<CPU{self.index} {task}>"
 
 
+class _Wakeup:
+    """The callback a blocked task leaves on the event it waits for.
+
+    One object per wait, so a pending wait holds a single tracked
+    object. It wakes the task with the event's outcome only if the task
+    is still blocked in the same wait (``version``): a task that moved
+    on ignores a late firing.
+    """
+
+    __slots__ = ("sched", "task", "version", "boost")
+
+    def __init__(self, sched: "Scheduler", task: Task, version: int, boost: bool) -> None:
+        self.sched = sched
+        self.task = task
+        self.version = version
+        self.boost = boost
+
+    def __call__(self, ev) -> None:
+        task = self.task
+        if task._wait_version != self.version or task.state != TaskState.BLOCKED:
+            return
+        if ev.ok:
+            self.sched.wake(task, value=ev.value, boost=self.boost)
+        else:
+            ev.defuse()
+            self.sched.wake(task, exc=ev.value, boost=self.boost)
+
+
 class Scheduler:
     """The per-node process scheduler."""
 
@@ -487,18 +515,14 @@ class Scheduler:
             return True
         if isinstance(op, Sleep):
             self._block(task, cpu)
-            version = task._wait_version
             t = self.env.timeout(op.duration)
             assert t.callbacks is not None
-            t.callbacks.append(
-                lambda _ev, task=task, version=version: self._wake_if_current(task, version)
-            )
+            t.callbacks.append(_Wakeup(self, task, task._wait_version, False))
             return False
         if isinstance(op, WaitEvent):
             event = op.event
             boost = op.boost
             self._block(task, cpu)
-            version = task._wait_version
             if event.processed:
                 # Resume promptly (still requires a trip through the
                 # scheduler, as a real wakeup would).
@@ -509,17 +533,7 @@ class Scheduler:
                     self.wake(task, exc=event.value, boost=boost)
             else:
                 assert event.callbacks is not None
-
-                def _on_fire(ev, task=task, version=version, boost=boost):
-                    if task._wait_version != version or task.state != TaskState.BLOCKED:
-                        return
-                    if ev.ok:
-                        self.wake(task, value=ev.value, boost=boost)
-                    else:
-                        ev.defuse()
-                        self.wake(task, exc=ev.value, boost=boost)
-
-                event.callbacks.append(_on_fire)
+                event.callbacks.append(_Wakeup(self, task, task._wait_version, boost))
             return False
         if isinstance(op, YieldCpu):
             task.state = TaskState.READY
@@ -538,12 +552,6 @@ class Scheduler:
         cpu.dispatch_seq += 1
         cpu.current = None
         self._schedule(cpu)
-
-    def _wake_if_current(self, task: Task, version: int) -> None:
-        """Timer wake guarded against the task having moved on."""
-        if task._wait_version != version or task.state != TaskState.BLOCKED:
-            return
-        self.wake(task)
 
     def _exit_task(self, task: Task, cpu: CpuState, value: Any, exc: Optional[BaseException]) -> None:
         task.state = TaskState.EXITED

@@ -149,12 +149,27 @@ class Task:
         self.sys_ns = 0
         self.wakeups = 0
         self.dispatches = 0
-        #: completion event (fires with the body's return value)
-        self.done: Event = node.env.event(name=f"task-done:{name}")
+        #: completion event, made on first use (see :attr:`done`)
+        self._done: Optional[Event] = None
         #: value to send into the generator on next advance
         self._send_value: Any = None
         #: pending wakeup callback guard (versioning for sleep/wait races)
         self._wait_version = 0
+
+    @property
+    def done(self) -> Event:
+        """Completion event: fires with the body's return value, or fails
+        with the exception that ended it.
+
+        Made on first read. The scheduler reads it when the task exits,
+        so every task still triggers exactly one completion event; a
+        task that runs for the whole simulation, as most do, never
+        carries one.
+        """
+        done = self._done
+        if done is None:
+            done = self._done = Event(self.node.env, name=f"task-done:{self.name}")
+        return done
 
     # -- priority ----------------------------------------------------------
     @property

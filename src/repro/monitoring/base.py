@@ -46,12 +46,15 @@ class QueryRecord:
 
 
 def make_read_post(qp, mr):
-    """Prebuilt, untraced RDMA-read post closure for one (QP, MR) pair.
+    """Untraced RDMA-read post closure for one (QP, MR) pair.
 
-    The RDMA schemes build one of these per back-end at deploy time and
-    reuse it on every unsampled probe, so the polling loop builds no
-    closure per query — the per-call lambda survives only on the (rare)
-    traced path, which needs the fresh span context. Each post still
+    A scheme's single-back-end probe path (``query``) reuses one of
+    these per back-end on every unsampled probe, so the polling loop
+    builds no closure per query — the per-call lambda survives only on
+    the (rare) traced path, which needs the fresh span context.
+    RDMA-Sync builds a back-end's pair at its first untraced ``query()``;
+    its batched paths (``query_all``, ``query_many``) post directly and
+    never build one. RDMA-Async builds them at deploy. Each post still
     allocates the read's work request, its completion event and the
     bound method of its pending stage (see ``repro.transport.verbs``).
     """
@@ -85,7 +88,9 @@ class MonitoringScheme(abc.ABC):
     def __init__(self, sim: "ClusterSim", *, interval: Optional[int] = None) -> None:
         self.sim = sim
         self.frontend: "Node" = sim.frontend
-        self.backends: List["Node"] = list(sim.backends)
+        #: shared with ``sim``, not copied: a federation leaf's scheme
+        #: over a rebalancing topology is handed the whole cluster
+        self.backends: List["Node"] = sim.backends
         self.interval = interval if interval is not None else sim.cfg.monitor.interval
         if self.interval <= 0:
             raise ValueError("monitoring interval must be positive")

@@ -18,7 +18,7 @@ all emergent here:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
 
 from repro.monitoring.base import MonitoringScheme, make_read_post
 from repro.monitoring.loadinfo import LoadCalculator, LoadInfo
@@ -48,73 +48,71 @@ class RdmaSyncScheme(MonitoringScheme):
         super().__init__(sim, interval=interval)
         if with_irq_detail:
             self.read_irq_stat = True
-        self._qps: List[Optional[QueuePair]] = []
-        self._load_mrs: List[Optional[MemoryRegionHandle]] = []
-        self._irq_mrs: List[Optional[MemoryRegionHandle]] = []
+        # Per-back-end wiring, keyed by back-end index (see _deploy).
+        self._qps: Dict[int, QueuePair] = {}
+        self._load_mrs: Dict[int, MemoryRegionHandle] = {}
+        self._irq_mrs: Dict[int, MemoryRegionHandle] = {}
         #: front-end side calculators (jiffy differencing happens here)
-        self._calcs: List[Optional[LoadCalculator]] = []
-        #: prebuilt untraced post closures (steady-state probe cache)
-        self._load_posts: List = []
-        self._irq_posts: List = []
+        self._calcs: Dict[int, LoadCalculator] = {}
+        #: untraced (load, irq) post closures of the single-back-end path
+        self._posts: Dict[int, Tuple[Callable, Callable]] = {}
 
     def _deploy(self) -> None:
-        # Wiring is lazy, per back-end, on first query. Deploying a QP,
-        # registering the kernel MRs and building the post closures is
-        # pure bookkeeping — no events, no RNG draws, no simulated time —
-        # so deferring it never perturbs a run. It does turn deploy cost
-        # from O(universe) into O(members actually polled): a federation
-        # leaf is handed the full back-end universe (so quarantine
-        # rebalancing can re-shard without re-deploying) but only ever
-        # touches its own shard, which at N back-ends and ~sqrt(N) leaves
-        # is the difference between O(N^1.5) and O(N) QPs cluster-wide.
-        n = len(self.backends)
-        self._qps = [None] * n
-        self._load_mrs = [None] * n
-        self._irq_mrs = [None] * n
-        self._calcs = [None] * n
-        self._load_posts = [None] * n
-        self._irq_posts = [None] * n
+        """Nothing up front: each back-end is wired on its first probe.
+
+        Deploying a QP and registering the kernel MRs is pure
+        bookkeeping — no events, no RNG draws, no simulated time — so
+        deferring it never perturbs a run. It turns deploy cost from
+        O(universe) into O(members actually polled): a federation leaf
+        on a rebalancing topology is handed the whole cluster (so
+        quarantine rebalancing can re-shard without re-deploying) but
+        only ever touches its own shard. Keeping the wiring in dicts
+        keyed by back-end index makes the leaf's state O(shard) too:
+        a back-end it never polls costs it nothing, not even a slot.
+        """
 
     def _wire(self, i: int) -> None:
-        """Materialize QP/MR/calculator/post wiring for back-end ``i``."""
+        """Materialize QP/MR/calculator wiring for back-end ``i``."""
         be = self.backends[i]
         pd = ProtectionDomain.for_node(be)
         # Kernel structures are registered READ-ONLY (§6 security).
-        self._load_mrs[i] = lmr = pd.register(
+        self._load_mrs[i] = pd.register(
             be.memory.get("kern.load"), AccessFlags.REMOTE_READ)
-        self._irq_mrs[i] = imr = pd.register(
+        self._irq_mrs[i] = pd.register(
             be.memory.get("kern.irq_stat"), AccessFlags.REMOTE_READ)
-        qp_fe, _ = connect_monitor_qp(self.frontend, be)
-        self._qps[i] = qp_fe
+        self._qps[i] = connect_monitor_qp(self.frontend, be)[0]
         self._calcs[i] = LoadCalculator(be.name)
-        self._load_posts[i] = make_read_post(qp_fe, lmr)
-        self._irq_posts[i] = make_read_post(qp_fe, imr)
+
+    def _untraced_posts(self, i: int) -> Tuple[Callable, Callable]:
+        """Back-end ``i``'s (load, irq) post closures, built on first use."""
+        posts = self._posts.get(i)
+        if posts is None:
+            qp = self._qps[i]
+            posts = self._posts[i] = (make_read_post(qp, self._load_mrs[i]),
+                                      make_read_post(qp, self._irq_mrs[i]))
+        return posts
 
     # ------------------------------------------------------------------
     def query(self, k: "TaskContext", backend_index: int) -> Generator:
         mon = self.sim.cfg.monitor
         issued = k.now
-        if self._qps[backend_index] is None:
+        if backend_index not in self._qps:
             self._wire(backend_index)
         span = self._probe_span(backend_index)
         if span is None:
-            post = self._load_posts[backend_index]
+            post, irq_post = self._untraced_posts(backend_index)
         else:
             qp = self._qps[backend_index]
             load_mr = self._load_mrs[backend_index]
+            irq_mr = self._irq_mrs[backend_index]
             post = lambda: qp._post_read(load_mr.rkey, load_mr.nbytes, ctx=span)
+            irq_post = lambda: qp._post_read(irq_mr.rkey, irq_mr.nbytes, ctx=span)
         wc, attempts = yield from self._verb_retry(k, post)
         if wc is None or not wc.ok:
             return self._record_failure(backend_index, issued, span=span,
                                         attempts=attempts)
         irq = None
         if self.read_irq_stat:
-            if span is None:
-                irq_post = self._irq_posts[backend_index]
-            else:
-                qp = self._qps[backend_index]
-                irq_mr = self._irq_mrs[backend_index]
-                irq_post = lambda: qp._post_read(irq_mr.rkey, irq_mr.nbytes, ctx=span)
             wc_irq, irq_attempts = yield from self._verb_retry(k, irq_post)
             attempts += irq_attempts - 1
             if wc_irq is None or not wc_irq.ok:
@@ -146,7 +144,7 @@ class RdmaSyncScheme(MonitoringScheme):
         issued = k.now
         qps = self._qps
         for i in indices:
-            if qps[i] is None:
+            if i not in qps:
                 self._wire(i)
         tracer = self.frontend.span_tracer
         if tracer is None or not tracer.enabled:
@@ -194,19 +192,22 @@ class RdmaSyncScheme(MonitoringScheme):
         net = self.sim.cfg.net
         mon = self.sim.cfg.monitor
         issued = k.now
+        n = len(self.backends)
         qps = self._qps
-        for i in range(len(qps)):
-            if qps[i] is None:
+        for i in range(n):
+            if i not in qps:
                 self._wire(i)
-        spans = [self._probe_span(i) for i in range(len(self.backends))]
+        spans = [self._probe_span(i) for i in range(n)]
         load_events, irq_events = [], []
-        for i, (qp, lmr) in enumerate(zip(self._qps, self._load_mrs)):
+        for i in range(n):
+            lmr = self._load_mrs[i]
             yield k.compute(net.doorbell_cost)
-            load_events.append(qp._post_read(lmr.rkey, lmr.nbytes, ctx=spans[i]))
+            load_events.append(qps[i]._post_read(lmr.rkey, lmr.nbytes, ctx=spans[i]))
         if self.read_irq_stat:
-            for i, (qp, imr) in enumerate(zip(self._qps, self._irq_mrs)):
+            for i in range(n):
+                imr = self._irq_mrs[i]
                 yield k.compute(net.doorbell_cost)
-                irq_events.append(qp._post_read(imr.rkey, imr.nbytes, ctx=spans[i]))
+                irq_events.append(qps[i]._post_read(imr.rkey, imr.nbytes, ctx=spans[i]))
         out: Dict[int, LoadInfo] = {}
         for i, ev in enumerate(load_events):
             wc = yield k.wait(ev)

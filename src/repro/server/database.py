@@ -10,7 +10,7 @@ total demand exact) plus a probabilistic disk stall.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.node import Node
     from repro.kernel.task import TaskContext
     from repro.server.request import Request
+    from repro.sim.rng import RngRegistry
 
 
 class DatabaseStage:
@@ -31,11 +32,26 @@ class DatabaseStage:
     #: disk stall duration on a miss
     MISS_STALL = 4 * MILLISECOND
 
-    def __init__(self, node: "Node", rng: np.random.Generator) -> None:
+    def __init__(self, node: "Node", rngs: "RngRegistry") -> None:
         self.node = node
-        self.rng = rng
+        self._rngs = rngs
+        self._rng: Optional[np.random.Generator] = None
         self.queries = 0
         self.misses = 0
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The stage's miss stream, ``db:<node>``, made on first draw.
+
+        The registry derives a stream from its name alone, so a stream
+        made at the first miss draw is the one a build would have made
+        up front; a back-end that never runs a DB query never pays for
+        one.
+        """
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._rngs.stream(f"db:{self.node.name}")
+        return rng
 
     def execute(self, k: "TaskContext", request: "Request", ctx=None) -> Generator:
         """Run the request's DB work in the calling worker's context."""

@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
 from repro.server.database import DatabaseStage
 from repro.server.request import Request
 from repro.sim.resources import Resource, Store
@@ -33,6 +31,7 @@ from repro.tracing.span import tracer_for
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.node import Node
     from repro.kernel.task import Task
+    from repro.sim.rng import RngRegistry
 
 
 class LruDocCache:
@@ -65,7 +64,7 @@ class LruDocCache:
 class BackendServer:
     """The server processes hosted on one back-end node."""
 
-    def __init__(self, node: "Node", rng: np.random.Generator, workers: Optional[int] = None) -> None:
+    def __init__(self, node: "Node", rngs: "RngRegistry", workers: Optional[int] = None) -> None:
         self.node = node
         cfg = node.cfg.server
         self.workers = workers if workers is not None else cfg.workers_per_server
@@ -77,7 +76,7 @@ class BackendServer:
         #: other, so a burst of misses makes a server transiently awful —
         #: the placement-sensitive heterogeneity of the Zipf workload
         self.disk = Resource(node.env, capacity=1, name=f"disk:{node.name}")
-        self.db = DatabaseStage(node, rng)
+        self.db = DatabaseStage(node, rngs)
         self.served = 0
         self._tasks: List["Task"] = []
         self._stopped = False

@@ -1,9 +1,13 @@
 """Tests for the CPU scheduler: dispatch, preemption, accounting."""
 
+import gc
+
 import pytest
 
 from repro.config import SimConfig
 from repro.hw.cluster import build_cluster
+from repro.kernel.task import TaskState
+from repro.sim.events import Timeout
 from repro.sim.units import ms, us
 
 
@@ -328,3 +332,79 @@ def test_wait_on_already_fired_event(cluster1):
     be.spawn("waiter", waiter)
     cluster1.run(ms(20))
     assert got == ["early"]
+
+
+@pytest.mark.parametrize("op", ["wait", "sleep"])
+def test_blocked_wait_holds_one_tracked_object(cluster1, op):
+    """What a blocked task leaves on the event it waits for is one
+    tracked object: at build, every worker of every back-end is blocked
+    this way."""
+    env = cluster1.env
+    ev = env.event()
+    nap = ms(7)
+
+    def body(k):
+        if op == "wait":
+            yield k.wait(ev)
+        else:
+            yield k.sleep(nap)
+
+    task = cluster1.backends[0].spawn("blocked", body)
+    cluster1.run(ms(1))
+    assert task.state is TaskState.BLOCKED
+    if op == "wait":
+        callbacks = ev.callbacks
+    else:
+        [timer] = [e[3] for e in env._queue
+                   if type(e[3]) is Timeout and e[3].delay == nap]
+        callbacks = timer.callbacks
+    assert len(callbacks) == 1
+    gc.collect()
+    before = len(gc.get_objects())
+    callbacks.clear()
+    gc.collect()
+    assert before - len(gc.get_objects()) <= 1
+
+
+def _processed_after(body):
+    sim = build_cluster(SimConfig(num_backends=1))
+    task = sim.backends[0].spawn("t", body)
+    sim.run(ms(5))
+    return sim.env.processed_events, task
+
+
+def test_exit_with_no_joiner_processes_one_completion_event():
+    def returns(k):
+        yield k.compute(us(10))
+        return "finished"
+
+    def blocks(k):
+        yield k.compute(us(10))
+        yield k.wait(k.env.event())
+
+    exited, task = _processed_after(returns)
+    blocked, _ = _processed_after(blocks)
+    assert exited - blocked == 1
+    assert task.done.processed and task.done.value == "finished"
+
+
+def test_unjoined_crash_raises_out_of_run(cluster1):
+    def bad(k):
+        yield k.compute(us(10))
+        raise ValueError("task crashed")
+
+    cluster1.backends[0].spawn("bad", bad)
+    with pytest.raises(ValueError, match="task crashed"):
+        cluster1.run(ms(5))
+
+
+def test_done_read_after_exit_carries_the_return_value(cluster1):
+    def body(k):
+        yield k.sleep(us(50))
+        return 42
+
+    task = cluster1.backends[0].spawn("quick", body)
+    cluster1.run(ms(1))
+    assert task.state is TaskState.EXITED
+    assert task.done.processed and task.done.ok
+    assert task.done.value == 42

@@ -13,7 +13,7 @@ from repro.workloads.rubis import RubisWorkload
 
 def deploy_with_health(num_backends=2):
     sim = build_cluster(SimConfig(num_backends=num_backends))
-    servers = [BackendServer(be, sim.rng.stream(f"db:{be.name}"), workers=8)
+    servers = [BackendServer(be, sim.rng, workers=8)
                for be in sim.backends]
     for s in servers:
         s.start()

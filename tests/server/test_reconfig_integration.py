@@ -13,7 +13,7 @@ from repro.workloads.rubis import RubisWorkload
 
 def test_two_services_share_cluster_with_migration():
     sim = build_cluster(SimConfig(num_backends=4))
-    servers = [BackendServer(be, sim.rng.stream(f"db:{be.name}"), workers=12)
+    servers = [BackendServer(be, sim.rng, workers=12)
                for be in sim.backends]
     for s in servers:
         s.start()
@@ -52,7 +52,7 @@ def test_two_services_share_cluster_with_migration():
 
 def test_pooled_routing_respects_initial_pools():
     sim = build_cluster(SimConfig(num_backends=4))
-    servers = [BackendServer(be, sim.rng.stream(f"db:{be.name}"), workers=8)
+    servers = [BackendServer(be, sim.rng, workers=8)
                for be in sim.backends]
     for s in servers:
         s.start()

@@ -19,7 +19,7 @@ def make_request(rid, reply_node, reply_store, web=us(500), db=0, doc=None):
 
 def deploy(sim, workers=2):
     be = sim.backends[0]
-    server = BackendServer(be, sim.rng.stream("db"), workers=workers)
+    server = BackendServer(be, sim.rng, workers=workers)
     server.start()
     return server
 

@@ -182,6 +182,39 @@ def test_federation_leaves_run_the_builder_scheme(name):
     assert app.monitor is app.dispatcher.monitor is app.federation.root
 
 
+@pytest.mark.parametrize("levels", [2, 3])
+def test_federation_leaves_take_the_scheme_interval_and_options(levels):
+    """``scheme()``'s ``interval`` and keywords reach every leaf, and the
+    upper tiers' "0 = the leaf interval" follows the leaves;
+    ``leaf_interval`` still wins over the scheme's interval."""
+    app = (ClusterBuilder(SimConfig(num_backends=8))
+           .scheme("rdma-sync", interval=ms(7), with_irq_detail=True)
+           .with_federation(num_shards=4, levels=levels).build())
+    fed = app.federation
+    assert {leaf.interval for leaf in fed.leaves} == {ms(7)}
+    assert {leaf.scheme.interval for leaf in fed.leaves} == {ms(7)}
+    assert all(leaf.scheme.read_irq_stat for leaf in fed.leaves)
+    assert {region.interval for region in fed.regions} <= {ms(7)}
+    assert fed.root.interval == ms(7)
+    app = (ClusterBuilder(SimConfig(num_backends=8))
+           .scheme("rdma-sync", interval=ms(7))
+           .with_federation(num_shards=4, levels=levels,
+                            leaf_interval=ms(3)).build())
+    fed = app.federation
+    assert {leaf.scheme.interval for leaf in fed.leaves} == {ms(3)}
+    assert not any(leaf.scheme.read_irq_stat for leaf in fed.leaves)
+    assert fed.root.interval == ms(3)
+
+
+def test_federated_scheme_interval_must_be_positive():
+    """A federated build rejects a non-positive ``scheme()`` interval as
+    a flat one does: the leaves' schemes check it."""
+    builder = (ClusterBuilder(SimConfig(num_backends=4))
+               .scheme("rdma-sync", interval=0).with_federation(num_shards=2))
+    with pytest.raises(ValueError, match="interval must be positive"):
+        builder.build()
+
+
 def test_with_federation_takes_no_scheme_keyword():
     """``scheme()`` is the one place that chooses the leaf scheme."""
     with pytest.raises(TypeError) as err:
