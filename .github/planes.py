@@ -98,11 +98,13 @@ PLANES = {
         ("Chaos matrix benchmark", bench("benchmarks/test_faults.py")),
     ],
     "federation": [
-        ("Federation + property tests",
+        ("Federation + property + federated telemetry and shedding tests",
          pytest("-q", "tests/federation",
                 "tests/properties/test_federation_properties.py",
                 "tests/experiments/test_federation_scale.py",
-                "tests/test_api_builder.py")),
+                "tests/test_api_builder.py",
+                "tests/telemetry/test_pipeline.py",
+                "tests/telemetry/test_shedding.py")),
         ("Small-N federated sweep smoke", run_all("federation")),
         ("Flat-vs-federated benchmark (N up to 512)",
          bench("benchmarks/test_federation.py")),

@@ -172,7 +172,7 @@ class ClusterBuilder:
         return self
 
     def with_telemetry(self, *, rules=None, **extra) -> "ClusterBuilder":
-        """Attach the bounded telemetry pipeline to the front-end monitor."""
+        """Attach the bounded telemetry pipeline to the routed view."""
         _audit("with_telemetry", extra, ["rules"])
         self._telemetry = True
         self._telemetry_rules = rules
@@ -346,8 +346,6 @@ class ClusterBuilder:
         telemetry = None
         if self._telemetry or self._alert_shedding:
             telemetry = TelemetryPipeline(rules=self._telemetry_rules)
-            if not federated:
-                telemetry.attach(monitor)
 
         if telemetry is not None and sim.congestion is not None:
             telemetry.attach_congestion(sim.congestion)
@@ -380,6 +378,9 @@ class ClusterBuilder:
                 # Quarantining a tenant re-splits shard assignments so
                 # routing routes around the noisy neighborhood.
                 sim.tenancy.federation = federation
+        if telemetry is not None:
+            # Either view delivers each back-end report to observers.
+            telemetry.attach(monitor)
 
         scaler = None
         if self._scaler is not None:

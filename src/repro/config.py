@@ -266,14 +266,11 @@ class FederationConfig:
     #: exported snapshot MR sizing: fixed header + per-node record
     snapshot_base_bytes: int = 64
     snapshot_bytes_per_node: int = 96
-    #: per-metric merge-digest compression at the leaves (the merged
-    #: global rank error is bounded by 2 x 3/compression — FEDERATION.md)
-    digest_compression: int = 64
     #: re-split shards over the surviving members when the fault plane /
     #: heartbeat quarantines a back-end (False: quarantine only shrinks
     #: the afflicted shard's polled set)
     rebalance_on_quarantine: bool = True
-    #: leaf CPU to fold a shard round into the mergeable snapshot
+    #: leaf CPU to fold a shard round into the snapshot
     merge_cost: int = 3 * US
     #: leaf CPU to serialise + write the snapshot into its exported MR
     publish_cost: int = 1 * US
@@ -514,8 +511,6 @@ class SimConfig:
             raise ValueError("federation intervals must be >= 0 (0 = default)")
         if fed.snapshot_base_bytes <= 0 or fed.snapshot_bytes_per_node <= 0:
             raise ValueError("federation snapshot sizes must be positive")
-        if fed.digest_compression < 8:
-            raise ValueError("federation digest_compression must be >= 8")
         if min(fed.merge_cost, fed.publish_cost, fed.root_merge_cost) < 0:
             raise ValueError("federation costs must be >= 0")
         cc = self.congestion

@@ -3,9 +3,10 @@
 Scales the paper's single front-end monitor past its 8-node testbed:
 a deterministic sharding layer (:mod:`~repro.federation.topology`),
 per-shard leaf monitors with batched RDMA fan-out
-(:mod:`~repro.federation.leaf`), mergeable epoch snapshots
-(:mod:`~repro.federation.snapshot`), and a root aggregator that
-RDMA-reads each leaf's exported snapshot region
+(:mod:`~repro.federation.leaf`), epoch snapshots of raw member load
+records (:mod:`~repro.federation.snapshot`), and a root aggregator that
+RDMA-reads each leaf's exported snapshot region and hands each new
+member report to its ``observers``, as the flat poller does
 (:mod:`~repro.federation.aggregator`). With ``cfg.federation.levels=3``
 a region tier (:mod:`~repro.federation.region`) sits between leaves and
 root so every fan-out stays near N^(1/3) — the regime that holds
@@ -20,13 +21,7 @@ from repro.federation.aggregator import (
 )
 from repro.federation.leaf import LeafMonitor, ShardView
 from repro.federation.region import RegionAggregator, RegionSnapshot
-from repro.federation.snapshot import (
-    SNAPSHOT_METRICS,
-    ShardSnapshot,
-    merge_digest_states,
-    pack_info,
-    unpack_info,
-)
+from repro.federation.snapshot import ShardSnapshot, pack_info, unpack_info
 from repro.federation.topology import (
     ShardTopology,
     auto_region_count,
@@ -35,7 +30,6 @@ from repro.federation.topology import (
 )
 
 __all__ = [
-    "SNAPSHOT_METRICS",
     "FederatedMonitor",
     "Federation",
     "LeafMonitor",
@@ -48,7 +42,6 @@ __all__ = [
     "auto_shard_count",
     "auto_shard_count_3level",
     "deploy_federation",
-    "merge_digest_states",
     "pack_info",
     "unpack_info",
 ]

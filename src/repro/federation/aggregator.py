@@ -5,9 +5,11 @@ leaf's exported snapshot region every root period — the paper's
 one-sided principle applied recursively: no leaf CPU is involved in
 answering, so the root's round time is NIC + fabric only, over
 ``num_shards`` reads instead of N. Merged shard views land in
-``latest`` (keyed by global back-end index), which duck-types the
-:class:`~repro.monitoring.frontend.FrontendMonitor` cache the
-dispatcher and balancers already consult.
+``latest`` (keyed by global back-end index), and each new member
+report goes to ``observers`` once: the root offers the view the flat
+:class:`~repro.monitoring.frontend.FrontendMonitor` does (``latest``,
+``polls``, ``epoch``, ``observers``, ``round_observers``), so the
+dispatcher, balancers and telemetry read either one.
 
 :func:`deploy_federation` builds the whole fabric on an existing
 cluster: leaf nodes attached to the fabric, one
@@ -21,12 +23,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.federation.leaf import LeafMonitor
-from repro.federation.snapshot import ShardSnapshot, merge_digest_states
+from repro.federation.snapshot import ShardSnapshot
 from repro.federation.topology import ShardTopology, auto_shard_count_3level
 from repro.hw.node import Node
 from repro.monitoring.loadinfo import LoadInfo
 from repro.monitoring.registry import scheme_class
-from repro.telemetry.digest import StreamingDigest
 from repro.transport.verbs import WqeBatch, connect_monitor_qp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,9 +39,8 @@ class FederatedMonitor:
     """Root aggregator: one-sided reads of every leaf's snapshot MR.
 
     In a three-level fabric the root reads *region* snapshot MRs
-    instead (each carrying its leaves' packed shard snapshots plus
-    pre-merged digest states), so the fan-in and the digest rebuild
-    both scale with ``num_regions`` rather than ``num_shards``.
+    instead (each carrying its leaves' packed shard snapshots), so the
+    fan-in scales with ``num_regions`` rather than ``num_shards``.
     """
 
     def __init__(
@@ -65,15 +65,15 @@ class FederatedMonitor:
         sources = regions if regions else leaves
         self._sources = sources
         self._qps = [connect_monitor_qp(sim.frontend, src.node)[0] for src in sources]
-        #: region index → pre-merged digest states (3-level mode only)
-        self._region_digest_states: Dict[int, Dict[str, tuple]] = {}
         #: the merged global view — FrontendMonitor-cache compatible
         self.latest: Dict[int, LoadInfo] = {}
-        #: freshest snapshot + leaf epoch per shard
-        self.shard_snapshots: Dict[int, ShardSnapshot] = {}
+        #: leaf epoch of the freshest snapshot merged per shard
         self.shard_epochs: Dict[int, int] = {}
-        #: merged global per-metric digests (rebuilt each root round)
-        self.digests: Dict[str, StreamingDigest] = {}
+        #: called in order with ``(backend, info)`` for each member report
+        #: newer than the last one delivered for that back-end
+        self.observers: List[Callable[[int, LoadInfo], None]] = []
+        #: ``collected_at`` of the last report delivered per back-end
+        self._delivered: Dict[int, int] = {}
         #: root merge-round counter (the global view's epoch stamp)
         self.epoch = 0
         self.polls = 0
@@ -132,7 +132,6 @@ class FederatedMonitor:
                     # records inside pass through by identity, so the
                     # root's CPU work scales with its fan-in, not N.
                     yield k.compute(fed.root_merge_cost)
-                    self._region_digest_states[rsnap.region] = rsnap.digests
                     # Re-stamp delivery with the root's read instant so
                     # staleness accumulates across all hops.
                     snaps.extend(
@@ -144,16 +143,15 @@ class FederatedMonitor:
             for snap in snaps:
                 if not three_level:
                     yield k.compute(fed.root_merge_cost)
-                self.shard_snapshots[snap.shard] = snap
                 self.shard_epochs[snap.shard] = snap.epoch
-                for g, info in snap.nodes.items():
-                    self.latest[g] = info
+                self.latest.update(snap.nodes)
+                if self.observers:
+                    self._deliver(snap.nodes)
             # Quarantined members linger in old snapshots; keep the
             # serving view to what the topology considers routable.
             for b in list(self.latest):
                 if b in self.topology.quarantined:
                     del self.latest[b]
-            self._rebuild_digests()
             self.epoch += 1
             self.polls += 1
             self.rounds.append(k.now - t0)
@@ -166,23 +164,20 @@ class FederatedMonitor:
                     fn(self.epoch, latest)
             yield k.sleep(self.interval)
 
-    def _rebuild_digests(self) -> None:
-        states: Dict[str, list] = {}
-        if self.regions:
-            # Three-level: the regions already pre-merged their leaves'
-            # digests, so the root folds num_regions states per metric.
-            for region_states in self._region_digest_states.values():
-                for metric, state in region_states.items():
-                    states.setdefault(metric, []).append(state)
-        else:
-            for snap in self.shard_snapshots.values():
-                for metric, state in snap.digests.items():
-                    states.setdefault(metric, []).append(state)
-        self.digests = {
-            metric: merged
-            for metric, sts in states.items()
-            if (merged := merge_digest_states(sts)) is not None
-        }
+    def _deliver(self, nodes: Dict[int, LoadInfo]) -> None:
+        """Observer fan-out for one snapshot's member reports.
+
+        Only a report newer than the last one delivered for its back-end
+        goes out, so each reaches ``observers`` once: a snapshot read
+        again unchanged, relayed again by a region, or republishing a
+        member's report after a failed probe delivers nothing.
+        """
+        delivered = self._delivered
+        for g, info in nodes.items():
+            if info.collected_at > delivered.get(g, -1):
+                delivered[g] = info.collected_at
+                for fn in self.observers:
+                    fn(g, info)
 
     # ------------------------------------------------------------------
     def max_epoch_lag(self) -> int:

@@ -11,7 +11,7 @@ scheme works unmodified. RDMA schemes additionally get the batched fan-out
 (`query_many`): the whole shard round is posted first and the doorbell
 rings once.
 
-After each round the leaf folds the results into a mergeable
+After each round the leaf folds the results into a
 :class:`~repro.federation.snapshot.ShardSnapshot` and writes its packed
 form into a registered, remotely-readable memory region — the same
 one-sided principle the paper applies to kernel counters, applied
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.federation.snapshot import SNAPSHOT_METRICS, ShardSnapshot
+from repro.federation.snapshot import ShardSnapshot
 from repro.federation.topology import ShardTopology
 from repro.monitoring.loadinfo import LoadInfo
 from repro.monitoring.registry import create_scheme
-from repro.telemetry.digest import StreamingDigest
 from repro.transport.verbs import AccessFlags, ProtectionDomain
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,10 +95,6 @@ class LeafMonitor:
         self.interval = self.scheme.interval
         #: freshest report per member, keyed by *global* back-end index
         self.latest: Dict[int, LoadInfo] = {}
-        #: cumulative per-metric merge digests over the shard's stream
-        self.digests: Dict[str, StreamingDigest] = {
-            m: StreamingDigest(fed.digest_compression) for m in SNAPSHOT_METRICS
-        }
         self.epoch = 0
         self.published = 0
         #: per-round wall time (poll + merge + publish), ns
@@ -157,10 +152,8 @@ class LeafMonitor:
             for li, info in infos.items():
                 g = li if static is None else static[li]
                 self.latest[g] = info
-                for m, digest in self.digests.items():
-                    digest.update(float(getattr(info, m)))
             self.epoch += 1
-            # Fold the round into the mergeable snapshot and publish it
+            # Fold the round into the snapshot and publish it
             # into the exported region for the root's one-sided read.
             yield k.compute(fed.merge_cost)
             snap = ShardSnapshot(
@@ -169,7 +162,6 @@ class LeafMonitor:
                 generation=self.topology.generation,
                 published_at=k.now,
                 nodes={g: self.latest[g] for g in members if g in self.latest},
-                digests={m: d.to_state() for m, d in self.digests.items()},
             )
             yield k.compute(fed.publish_cost)
             # pack() guarantees nested tuples of immutables, so skip the

@@ -2,22 +2,16 @@
 
 A :class:`RegionAggregator` is the root's principle applied one level
 down: it RDMA-reads the exported snapshot region of every leaf in its
-group each region period, folds the packed leaf snapshots into a
+group each region period, collects the packed leaf snapshots into a
 :class:`RegionSnapshot`, and writes the packed form into its *own*
 exported memory region for the root's one-sided read. No leaf CPU is
 involved in answering the region and no region CPU is involved in
 answering the root.
 
-Two properties make the tier scale:
-
-* **Pass-through member records.** The region keeps each leaf's packed
-  shard snapshot verbatim inside its own packed snapshot. Nested tuples
-  of immutables deep-copy by identity, so the region's publish and the
-  root's read both cost O(1) Python work per shard regardless of shard
-  size — only the final consumer unpacks member records.
-* **Pre-merged digests.** The region merges its leaves' per-metric
-  digest states into one state per metric, so the root's digest rebuild
-  is O(num_regions) instead of O(num_shards) per round.
+The region only passes its leaves' packed shard snapshots through,
+verbatim. Nested tuples of immutables deep-copy by identity, so the
+region's publish and the root's read both cost O(1) Python work per
+shard regardless of shard size — only the root unpacks member records.
 
 Staleness still accumulates across all three hops: ``collected_at``
 stays the back-end data timestamp end-to-end, and the root re-stamps
@@ -29,12 +23,10 @@ the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.federation.leaf import LeafMonitor
-from repro.federation.snapshot import merge_digest_states
-from repro.telemetry.digest import StreamingDigest
 from repro.transport.verbs import AccessFlags, ProtectionDomain, WqeBatch, connect_monitor_qp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class RegionSnapshot:
-    """One region's merged view at one region epoch."""
+    """One region's view at one region epoch: its leaves' snapshots."""
 
     region: int
     #: the region's monotonic aggregation-round counter at publish time
@@ -54,8 +46,6 @@ class RegionSnapshot:
     published_at: int
     #: the freshest *packed* ShardSnapshot per leaf, in shard order
     shards: Tuple[tuple, ...] = ()
-    #: metric → digest state pre-merged across the region's leaves
-    digests: Dict[str, tuple] = field(default_factory=dict)
 
     def pack(self) -> tuple:
         """Nested tuples of immutables — the exported-MR wire format.
@@ -69,15 +59,13 @@ class RegionSnapshot:
             self.epoch,
             self.published_at,
             tuple(self.shards),
-            tuple(sorted(self.digests.items())),
         )
 
     @staticmethod
     def unpack(packed: tuple) -> "RegionSnapshot":
-        region, epoch, published_at, shards, digests = packed
+        region, epoch, published_at, shards = packed
         return RegionSnapshot(region=region, epoch=epoch,
-                              published_at=published_at,
-                              shards=tuple(shards), digests=dict(digests))
+                              published_at=published_at, shards=tuple(shards))
 
 
 class RegionAggregator:
@@ -173,7 +161,6 @@ class RegionAggregator:
                 published_at=k.now,
                 shards=tuple(
                     self.shard_packed[s] for s in sorted(self.shard_packed)),
-                digests=self._merged_digest_states(),
             )
             yield k.compute(fed.region_publish_cost)
             # pack() passes through already-immutable leaf tuples, so
@@ -185,18 +172,3 @@ class RegionAggregator:
                 spans.end(span, attrs={"epoch": self.epoch,
                                        "shards": len(self.shard_packed)})
             yield k.sleep(self.interval)
-
-    def _merged_digest_states(self) -> Dict[str, tuple]:
-        """One pre-merged digest state per metric across held leaves."""
-        states: Dict[str, list] = {}
-        for packed in self.shard_packed.values():
-            # packed ShardSnapshot layout: (..., nodes, digests) with
-            # digests as a tuple of (metric, state) pairs.
-            for metric, state in packed[5]:
-                states.setdefault(metric, []).append(state)
-        out: Dict[str, tuple] = {}
-        for metric, sts in states.items():
-            merged: Optional[StreamingDigest] = merge_digest_states(sts)
-            if merged is not None:
-                out[metric] = merged.to_state()
-        return out

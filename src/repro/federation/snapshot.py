@@ -1,15 +1,16 @@
-"""Mergeable epoch snapshots: the leaf ⇄ root exchange format.
+"""Epoch snapshots: the leaf ⇄ root exchange format.
 
 A leaf folds each completed shard round into a :class:`ShardSnapshot`:
 the freshest :class:`~repro.monitoring.loadinfo.LoadInfo` per member,
 stamped with the leaf's monotonic epoch and the topology generation it
-was collected under, plus one mergeable
-:class:`~repro.telemetry.digest.StreamingDigest` state per tracked
-metric. The snapshot is *packed* into nested tuples of immutables
-before being written to the leaf's exported memory region — crucial,
-because buffer-region DMA reads deep-copy their value and
-``copy.deepcopy`` returns immutables by identity, so a root read of a
-packed snapshot costs O(1) Python work regardless of shard size.
+was collected under. It carries raw load records only, as the paper's
+front end reads them; summarising the stream is the telemetry plane's
+job, fed by the root's ``observers``. The snapshot is *packed* into
+nested tuples of immutables before being written to the leaf's exported
+memory region — crucial, because buffer-region DMA reads deep-copy
+their value and ``copy.deepcopy`` returns immutables by identity, so a
+root read of a packed snapshot costs O(1) Python work regardless of
+shard size.
 
 **Staleness propagation**: ``collected_at`` is always the back-end data
 timestamp. The packed record carries the leaf's delivery time; on
@@ -22,18 +23,9 @@ tier — exactly what the paper's Fig 5-style accuracy analysis must see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.monitoring.loadinfo import LoadInfo
-from repro.telemetry.digest import StreamingDigest
-
-#: LoadInfo metrics digested at the leaves and merged at the root
-SNAPSHOT_METRICS: Tuple[str, ...] = (
-    "cpu_util",
-    "runq_load",
-    "nr_running",
-    "staleness",
-)
 
 
 def pack_info(backend_index: int, info: LoadInfo) -> tuple:
@@ -106,8 +98,6 @@ class ShardSnapshot:
     published_at: int
     #: freshest report per member, keyed by *global* back-end index
     nodes: Dict[int, LoadInfo] = field(default_factory=dict)
-    #: metric → StreamingDigest state tuple (cumulative over the shard)
-    digests: Dict[str, tuple] = field(default_factory=dict)
 
     def pack(self) -> tuple:
         """Nested tuples of immutables — the exported-MR wire format."""
@@ -117,32 +107,18 @@ class ShardSnapshot:
             self.generation,
             self.published_at,
             tuple(pack_info(i, info) for i, info in sorted(self.nodes.items())),
-            tuple(sorted(self.digests.items())),
         )
 
     @staticmethod
     def unpack(packed: tuple, received_at: Optional[int] = None) -> "ShardSnapshot":
-        shard, epoch, generation, published_at, nodes, digests = packed
+        shard, epoch, generation, published_at, nodes = packed
         snap = ShardSnapshot(shard=shard, epoch=epoch, generation=generation,
                              published_at=published_at)
         for rec in nodes:
             index, info = unpack_info(rec, received_at=received_at)
             snap.nodes[index] = info
-        snap.digests = dict(digests)
         return snap
 
     def wire_bytes(self, base_bytes: int, per_node_bytes: int) -> int:
         """Declared wire size under the configured sizing model."""
         return base_bytes + per_node_bytes * max(1, len(self.nodes))
-
-
-def merge_digest_states(states: Sequence[tuple]) -> Optional[StreamingDigest]:
-    """Merge shard digest states into one global digest (None if empty)."""
-    merged: Optional[StreamingDigest] = None
-    for state in states:
-        sd = StreamingDigest.from_state(state)
-        if merged is None:
-            merged = sd
-        else:
-            merged.merge(sd)
-    return merged

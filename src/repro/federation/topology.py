@@ -115,8 +115,7 @@ class ShardTopology:
         if backend < 0 or backend >= self.num_backends or backend in self.quarantined:
             return False
         self.quarantined.add(backend)
-        if self.rebalance_on_quarantine:
-            self.rebalance()
+        self.rebalance()
         return True
 
     def release(self, backend: int) -> bool:
@@ -124,17 +123,23 @@ class ShardTopology:
         if backend not in self.quarantined:
             return False
         self.quarantined.discard(backend)
-        if self.rebalance_on_quarantine:
-            self.rebalance()
+        self.rebalance()
         return True
 
     def rebalance(self) -> None:
         """Re-split the surviving members evenly; bump the generation.
 
+        Does nothing on a topology built without
+        ``rebalance_on_quarantine``: its leaves poll only their static
+        shard, so a re-split would hand a member to a leaf that cannot
+        poll it.
+
         Deterministic: members stay in index order and the split is the
         same contiguous-blocks rule as at deploy time, so two same-seed
         runs quarantining the same back-ends agree on every assignment.
         """
+        if not self.rebalance_on_quarantine:
+            return
         self.assignment = self._split(self.active_backends(), self.num_shards)
         self.generation += 1
         self.rebalances += 1

@@ -252,7 +252,7 @@ class ElasticScaler:
             # poll it; one rebalance covers the whole initial parking.
             for b in sorted(self.parked):
                 federation.topology.quarantined.add(b)
-            if self.parked and federation.topology.rebalance_on_quarantine:
+            if self.parked:
                 federation.topology.rebalance()
         sim.frontend.spawn("elastic-scaler", self._body)
 

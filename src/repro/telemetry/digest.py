@@ -19,11 +19,9 @@ from __future__ import annotations
 import bisect
 from typing import List, Optional, Sequence
 
-import numpy as _np
-
 
 class QuantileDigest:
-    """Mergeable weighted-centroid digest with a bounded rank error."""
+    """Weighted-centroid digest with a bounded rank error."""
 
     def __init__(self, compression: int = 1024) -> None:
         if compression < 8:
@@ -69,67 +67,6 @@ class QuantileDigest:
                 acc_v = v
                 acc_w = w
         self._vals, self._wts = new_vals, new_wts
-
-    def merge(self, other: "QuantileDigest") -> "QuantileDigest":
-        """Fold ``other``'s centroids into this digest (in place).
-
-        Each incoming centroid lands at its sorted position with its
-        weight intact, then the usual compaction cap applies. A single
-        merge therefore adds at most one compaction's worth of rank
-        error on top of each input's own bound: a two-level merge
-        (shards → global) stays within ``2 · 3/compression`` of the
-        exact combined-stream quantiles (see docs/FEDERATION.md).
-
-        The merge is a single vectorised sort rather than per-centroid
-        ``bisect``+``insert`` (the root re-merges every shard digest
-        each round, so this is a hot path). Tie-breaking reproduces the
-        sequential ``bisect_left`` replay exactly — incoming centroids
-        sort before existing equals, and runs of equal incoming values
-        end up in reversed arrival order — so the result is
-        byte-identical to the historical loop.
-        """
-        ov, ow = other._vals, other._wts
-        if ov:
-            sv, sw = self._vals, self._wts
-            n, m = len(sv), len(ov)
-            vals = _np.empty(n + m)
-            vals[:m] = ov
-            vals[m:] = sv
-            grp = _np.empty(n + m, dtype=_np.int64)
-            grp[:m] = 0
-            grp[m:] = 1
-            rank = _np.empty(n + m, dtype=_np.int64)
-            rank[:m] = -_np.arange(m)
-            rank[m:] = _np.arange(n)
-            order = _np.lexsort((rank, grp, vals))
-            wts = _np.empty(n + m, dtype=_np.int64)
-            wts[:m] = ow
-            wts[m:] = sw
-            self._vals = vals[order].tolist()
-            self._wts = wts[order].tolist()
-        self.count += other.count
-        if len(self._vals) > 2 * self.compression:
-            self._compact()
-        return self
-
-    def to_state(self) -> tuple:
-        """All-immutable snapshot, cheap to ship through a DMA'd buffer.
-
-        Nested tuples of numbers deep-copy by identity, so packing a
-        digest into a registered memory region costs O(centroids) once
-        at publish time and nothing at read time.
-        """
-        return (self.compression, self.count,
-                tuple(self._vals), tuple(self._wts))
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "QuantileDigest":
-        compression, count, vals, wts = state
-        qd = cls(compression)
-        qd.count = count
-        qd._vals = list(vals)
-        qd._wts = list(wts)
-        return qd
 
     def quantile(self, q: float) -> float:
         """Value at quantile ``q`` (midpoint-rank interpolation)."""
@@ -184,40 +121,6 @@ class StreamingDigest:
         if x > self.hi:
             self.hi = x
         self._qd.update(x)
-
-    def merge(self, other: "StreamingDigest") -> "StreamingDigest":
-        """Fold ``other`` into this digest (parallel Welford combine).
-
-        Count/mean/m2 combine exactly (Chan et al.); min/max are exact;
-        quantiles inherit :meth:`QuantileDigest.merge`'s bound.
-        """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.mean, self._m2 = other.mean, other._m2
-        else:
-            total = self.count + other.count
-            delta = other.mean - self.mean
-            self.mean += delta * other.count / total
-            self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count += other.count
-        self.lo = min(self.lo, other.lo)
-        self.hi = max(self.hi, other.hi)
-        self._qd.merge(other._qd)
-        return self
-
-    def to_state(self) -> tuple:
-        """All-immutable snapshot (see :meth:`QuantileDigest.to_state`)."""
-        return (self.count, self.mean, self.lo, self.hi, self._m2,
-                self._qd.to_state())
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "StreamingDigest":
-        count, mean, lo, hi, m2, qd_state = state
-        sd = cls(qd_state[0])
-        sd.count, sd.mean, sd.lo, sd.hi, sd._m2 = count, mean, lo, hi, m2
-        sd._qd = QuantileDigest.from_state(qd_state)
-        return sd
 
     def quantile(self, q: float) -> float:
         return self._qd.quantile(q)

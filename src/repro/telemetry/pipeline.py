@@ -1,9 +1,10 @@
-"""Wiring: FrontendMonitor observations → rings, digests, alerts.
+"""Wiring: monitor observations → rings, digests, alerts.
 
 :class:`TelemetryPipeline` is a passive observer. Attaching it to a
-:class:`~repro.monitoring.frontend.FrontendMonitor` appends it to the
-monitor's ``observers`` list (after any subscriber already there), so
-every delivered :class:`LoadInfo` is fanned out to
+monitor — the flat :class:`~repro.monitoring.frontend.FrontendMonitor`
+or the federated root, which both deliver each back-end report to an
+``observers`` list — appends it there (after any subscriber already
+there), so every delivered :class:`LoadInfo` is fanned out to
 
 * the bounded :class:`~repro.telemetry.ringstore.RingStore`
   (per-back-end, per-metric rings, keyed ``b<i>.<metric>``),
@@ -36,6 +37,7 @@ from repro.telemetry.digest import StreamingDigest
 from repro.telemetry.ringstore import RingStore
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.federation import FederatedMonitor
     from repro.monitoring.frontend import FrontendMonitor
     from repro.monitoring.heartbeat import HeartbeatMonitor
     from repro.monitoring.loadinfo import LoadInfo
@@ -74,7 +76,7 @@ def default_rules(
 
 
 class TelemetryPipeline:
-    """The bounded metric plane for one front-end monitor."""
+    """The bounded metric plane for one monitor view."""
 
     def __init__(
         self,
@@ -92,7 +94,7 @@ class TelemetryPipeline:
         self.observations = 0
 
     # ------------------------------------------------------------------
-    def attach(self, monitor: "FrontendMonitor") -> "TelemetryPipeline":
+    def attach(self, monitor: FrontendMonitor | FederatedMonitor) -> "TelemetryPipeline":
         """Ingest every load report the monitor delivers."""
         monitor.observers.append(self.observe)
         return self

@@ -34,9 +34,6 @@ def test_root_view_covers_every_backend():
     # Leaves poll in lockstep periods: the merged view never holds shard
     # epochs more than one round apart.
     assert fed.root.max_epoch_lag() <= 1
-    # Merged global digests exist for every snapshot metric.
-    for metric in ("cpu_util", "runq_load", "nr_running", "staleness"):
-        assert fed.root.digests[metric].count > 0, metric
 
 
 def test_staleness_accumulates_across_both_hops():

@@ -1,11 +1,9 @@
 """Three-level federation: region tier correctness and scaling shape.
 
 The region tier must be invisible to consumers of the root's merged
-view (same coverage, same FrontendMonitor-cache duck type, digests for
-every snapshot metric) while changing the *shape* of the fabric: every
-fan-out near N^(1/3), staleness accumulating across all three hops, and
-the root's digest rebuild folding pre-merged region states instead of
-every shard's.
+view (same coverage, same FrontendMonitor-cache duck type) while
+changing the *shape* of the fabric: every fan-out near N^(1/3), and
+staleness accumulating across all three hops.
 """
 
 import pytest
@@ -71,27 +69,6 @@ def test_root_view_covers_every_backend_through_regions():
     assert all(r.read_failures == 0 for r in fed.regions)
     assert all(r.epoch > 5 for r in fed.regions)
     assert all(r.published == r.epoch for r in fed.regions)
-    # Merged global digests exist for every snapshot metric, rebuilt
-    # from the regions' pre-merged states.
-    for metric in ("cpu_util", "runq_load", "nr_running", "staleness"):
-        assert fed.root.digests[metric].count > 0, metric
-    assert len(fed.root._region_digest_states) == len(fed.regions)
-
-
-def test_digest_counts_match_leaf_stream_totals():
-    sim = _sim(n=64)
-    fed = deploy_federation(sim)
-    sim.run(ms(30))
-    # The root's merged digest is built from the freshest snapshot per
-    # shard (cumulative stream per leaf), relayed through the regions;
-    # its count equals the sum over shards of that shard's stream
-    # length at the snapshots the root holds.
-    # StreamingDigest state layout: (count, mean, lo, hi, m2, qd_state).
-    expected = sum(
-        snap.digests["cpu_util"][0]
-        for snap in fed.root.shard_snapshots.values()
-    )
-    assert fed.root.digests["cpu_util"].count == expected > 0
 
 
 def test_staleness_accumulates_across_three_hops():
@@ -164,8 +141,7 @@ def test_stop_halts_all_three_tiers():
 def test_region_snapshot_roundtrip():
     snap = RegionSnapshot(
         region=3, epoch=7, published_at=123456,
-        shards=((0, 1, 0, 100, (), ()), (1, 2, 0, 110, (), ())),
-        digests={"cpu_util": (5, 0.5, 0.1, 0.9, 0.0, (64, 5, (), ()))},
+        shards=((0, 1, 0, 100, ()), (1, 2, 0, 110, ())),
     )
     packed = snap.pack()
     # Wire format is nested tuples of immutables (identity deep-copy).
@@ -184,7 +160,7 @@ def test_three_level_same_seed_determinism():
             tuple(sorted((g, i.collected_at, i.received_at, i.cpu_util)
                          for g, i in fed.root.latest.items())),
             tuple(r.epoch for r in fed.regions),
-            tuple(fed.root.digests["cpu_util"].to_state()),
+            tuple(sorted(fed.root.shard_epochs.items())),
         )
 
     assert fingerprint() == fingerprint()

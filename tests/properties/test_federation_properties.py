@@ -42,7 +42,6 @@ def _run_app(seed, *, touch_knobs=False, enabled=False):
         cfg.federation.num_shards = 2
         cfg.federation.leaf_interval = ms(7)
         cfg.federation.root_interval = ms(9)
-        cfg.federation.digest_compression = 32
         cfg.federation.rebalance_on_quarantine = False
     cfg.federation.enabled = enabled
     app = ClusterBuilder(cfg).scheme("rdma-sync", interval=ms(50)).build()

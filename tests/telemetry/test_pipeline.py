@@ -1,4 +1,4 @@
-"""Pipeline wiring: observer chaining, 1e6-poll bound."""
+"""Pipeline wiring: observer chaining, 1e6-poll bound, federated views."""
 
 import numpy as np
 import pytest
@@ -122,3 +122,57 @@ def test_pipeline_on_live_cluster_run():
     assert 0.0 <= digest.p50 <= 1.0
     # telemetry consumed zero simulated time: poll cadence unchanged
     assert app.monitor.polls == pytest.approx(1 * SECOND / (50 * MILLISECOND), abs=2)
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_federated_root_feeds_per_backend_telemetry(levels):
+    """The federated root delivers each back-end report to telemetry,
+    as the flat poller does: per-back-end series, exposition summaries
+    and job-report quantiles, with no report delivered twice."""
+    from repro.obs.jobreport import build_job_report
+
+    cluster = (ClusterBuilder(SimConfig(num_backends=8, master_seed=19))
+               .with_federation(num_shards=2, levels=levels,
+                                leaf_interval=5 * MILLISECOND)
+               .observability().build())
+    delivered = []
+    cluster.monitor.observers.append(
+        lambda i, info: delivered.append((i, info.collected_at)))
+    RubisWorkload(cluster.sim, cluster.dispatcher, num_clients=8,
+                  think_time=6 * MILLISECOND).start()
+    cluster.run(200 * MILLISECOND)
+
+    assert cluster.monitor is cluster.federation.root
+    assert cluster.telemetry.observations == len(delivered) > 0
+    assert len(set(delivered)) == len(delivered)
+    assert cluster.telemetry.backends() == list(range(8))
+    text = cluster.obs.exposition()
+    for b in range(8):
+        assert f'repro_backend_cpu_util{{backend="{b}",' in text, b
+    served = cluster.dispatcher.stats.per_backend_counts()
+    busiest = max(served, key=served.get)
+    backends = build_job_report(cluster).payload["backends"]
+    assert backends[str(busiest)]["cpu_util"]["p50"] > 0.0
+
+
+def test_federated_root_delivers_each_report_once():
+    """The root reads each leaf snapshot twice per leaf period here, and
+    a leaf republishes a member's last report after a failed probe:
+    neither reaches the root's observers twice."""
+    cfg = SimConfig(num_backends=8, master_seed=3)
+    cfg.monitor.probe_timeout = 2 * MILLISECOND
+    cfg.monitor.probe_retries = 2
+    app = (ClusterBuilder(cfg)
+           .with_federation(num_shards=2, leaf_interval=2 * MILLISECOND,
+                            root_interval=1 * MILLISECOND)
+           .with_faults("from 20ms to 150ms verb-nak backend1 p=0.5\n"
+                        "from 20ms to 150ms verb-nak backend6 p=0.5")
+           .build())
+    delivered = []
+    app.monitor.observers.append(
+        lambda i, info: delivered.append((i, info.collected_at)))
+    app.run(200 * MILLISECOND)
+    leaves = app.federation.leaves
+    assert sum(leaf.scheme.fault_stats()["failures"] for leaf in leaves) > 0
+    assert app.monitor.polls > leaves[0].epoch
+    assert len(set(delivered)) == len(delivered) > 0

@@ -111,3 +111,26 @@ def test_shedding_repick_follows_clean_headroom():
     # Headroom 1.0 vs 0.15: about 87% of picks land on 3. Re-picking
     # over a view without the shed back-ends gives 3 about 72%.
     assert counts[3] > 4 * counts[2], counts
+
+
+def test_federated_cluster_sheds_an_overloaded_backend():
+    """Per-back-end alert rules fire on a federated cluster too: the root
+    delivers each report to telemetry, so a back-end saturated by
+    background load raises ``overload`` and the dispatcher routes
+    around it."""
+    from repro.workloads import create_workload
+
+    app = (ClusterBuilder(SimConfig(num_backends=4))
+           .with_federation(num_shards=2)
+           .with_alert_shedding()
+           .build())
+    create_workload("background", app.sim, node=1, threads=8)
+    RubisWorkload(app.sim, app.dispatcher, num_clients=32,
+                  think_time=5 * MILLISECOND).start()
+    app.run(int(0.4 * SECOND))
+    raised = {a.backend for a in app.telemetry.engine.log
+              if a.rule == "overload" and not a.cleared}
+    assert 1 in raised
+    assert app.dispatcher.rerouted_by_alert > 0
+    counts = app.dispatcher.stats.per_backend_counts()
+    assert counts[1] < min(counts[b] for b in (0, 2, 3))

@@ -89,3 +89,29 @@ def test_clean_cluster_keeps_topology_stable():
     topo = app.federation.topology
     assert topo.rebalances == 0 and topo.generation == 0
     assert app.sim.tenancy.actions == []
+
+
+def test_tenant_quarantine_keeps_a_static_topology():
+    """On a topology without ``rebalance_on_quarantine`` each leaf polls
+    only its static shard, so a tenant quarantine must not re-split the
+    assignment: a member moved to another shard would have no leaf
+    polling it while the topology still routes to it."""
+    app = (ClusterBuilder(SimConfig(num_backends=8, master_seed=13))
+           .scheme("rdma-sync", interval=ms(1))
+           .tenancy(defense=True, defense_interval=ms(5), icm_entries=32)
+           .with_federation(num_shards=2, rebalance_on_quarantine=False)
+           .with_faults("at 5ms crash backend0")
+           .build())
+    create_workload("read-blaster", app.sim, src=app.sim.backends[2],
+                    target=app.sim.backends[5], start_after=ms(10))
+    app.run(ms(80))
+    topo = app.federation.topology
+    assert app.sim.tenancy.registry.by_name("read-blast").quarantined
+    assert topo.quarantined == {0}
+    assert topo.assignment == topo.static_assignment
+    assert topo.rebalances == 0
+    routable = topo.active_backends()
+    assert sorted(app.federation.root.latest) == routable
+    now = app.sim.env.now
+    for g in routable:
+        assert now - app.federation.root.latest[g].collected_at < 2 * ms(1), g

@@ -156,11 +156,11 @@ def test_with_tracing_keeps_configured_sample_rate():
 def test_with_federation_accepts_every_federation_field():
     cfg = SimConfig(num_backends=8)
     app = (ClusterBuilder(cfg)
-           .with_federation(digest_compression=32,
+           .with_federation(snapshot_bytes_per_node=128,
                             rebalance_on_quarantine=False)
            .build())
     fed = app.sim.cfg.federation
-    assert fed.digest_compression == 32
+    assert fed.snapshot_bytes_per_node == 128
     assert not app.federation.topology.rebalance_on_quarantine
     assert not cfg.federation.enabled
 
@@ -220,7 +220,16 @@ def test_with_federation_takes_no_scheme_keyword():
     with pytest.raises(TypeError) as err:
         ClusterBuilder(SimConfig(num_backends=4)).with_federation(scheme="socket-sync")
     assert "unknown keyword 'scheme'" in str(err.value)
-    assert "(valid keywords: digest_compression, enabled, " in str(err.value)
+    assert "(valid keywords: enabled, leaf_interval, " in str(err.value)
+
+
+def test_with_federation_rejects_the_removed_digest_knob():
+    """Leaves keep no digests, so ``digest_compression`` is no knob."""
+    with pytest.raises(TypeError) as err:
+        ClusterBuilder(SimConfig(num_backends=4)).with_federation(
+            digest_compression=32)
+    assert "unknown keyword 'digest_compression'" in str(err.value)
+    assert "(valid keywords: enabled, " in str(err.value)
 
 
 def test_constructor_backed_methods_take_constructor_keywords():
